@@ -136,7 +136,18 @@ type CoreID struct {
 
 // String returns the paper-style one-based label nid.pid.cid.
 func (c CoreID) String() string {
-	return fmt.Sprintf("%d.%d.%d", c.Node+1, c.Proc+1, c.Core+1)
+	var buf [24]byte
+	return string(c.AppendLabel(buf[:0]))
+}
+
+// AppendLabel appends the label String returns to b, for callers that
+// render many labels into one buffer (the /v1/plan reply).
+func (c CoreID) AppendLabel(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(c.Node)+1, 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(c.Proc)+1, 10)
+	b = append(b, '.')
+	return strconv.AppendInt(b, int64(c.Core)+1, 10)
 }
 
 // ParseCoreID parses a one-based nid.pid.cid label.

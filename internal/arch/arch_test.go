@@ -2,6 +2,8 @@ package arch
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -96,6 +98,28 @@ func TestCoreIDStringParse(t *testing.T) {
 	for _, bad := range []string{"", "1.2", "1.2.3.4", "0.1.1", "a.b.c"} {
 		if _, err := ParseCoreID(bad); err == nil {
 			t.Errorf("ParseCoreID(%q) accepted", bad)
+		}
+	}
+}
+
+// TestCoreIDStringMatchesSprintf pins the fmt-free String against the
+// Sprintf form it replaced, over a whole machine and the int extremes.
+func TestCoreIDStringMatchesSprintf(t *testing.T) {
+	cores := append(CHiC().AllCores(),
+		CoreID{-5, -1, -2}, CoreID{math.MaxInt - 1, math.MaxInt32, 0}, CoreID{math.MinInt, 0, 123456789})
+	for _, c := range cores {
+		want := fmt.Sprintf("%d.%d.%d", c.Node+1, c.Proc+1, c.Core+1)
+		if got := c.String(); got != want {
+			t.Fatalf("%#v: String = %q, want %q", c, got, want)
+		}
+		if got := string(c.AppendLabel([]byte("x"))); got != "x"+want {
+			t.Fatalf("%#v: AppendLabel = %q, want %q", c, got, "x"+want)
+		}
+		if c.Node < 0 || c.Proc < 0 || c.Core < 0 {
+			continue // zero-based negatives have no one-based label to parse
+		}
+		if back, err := ParseCoreID(c.String()); err != nil || back != c {
+			t.Fatalf("ParseCoreID(%q) = %v, %v; want %v", c.String(), back, err, c)
 		}
 	}
 }

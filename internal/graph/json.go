@@ -13,13 +13,22 @@ import (
 // carry their subgraph recursively. Zero-valued task fields are omitted,
 // so a plain computational task is just {"name": ..., "work": ...}.
 //
-// Unmarshaling rebuilds the graph through AddTask/AddEdge, which means a
-// decoded graph enforces the same invariants as a programmatically built
-// one (valid edge endpoints, no self edges); DAG-ness is checked by
+// Wire is that format as plain structs — no nested json.Unmarshaler — so
+// a request that embeds a graph decodes in one json.Unmarshal; Wire.Build
+// turns it into a Graph. The built graph equals the one AddTask/AddEdge
+// would produce from the same tasks and edges (valid endpoints, no self
+// edges, duplicate edges merged); DAG-ness is checked by
 // Validate/TopoOrder at planning time, exactly as for built graphs.
 
-// taskJSON is the wire form of one Task. ID is implicit (array position).
-type taskJSON struct {
+// Wire is the wire form of a Graph.
+type Wire struct {
+	Name  string     `json:"name"`
+	Tasks []WireTask `json:"tasks"`
+	Edges []WireEdge `json:"edges,omitempty"`
+}
+
+// WireTask is the wire form of one Task. ID is implicit (array position).
+type WireTask struct {
 	Name       string         `json:"name"`
 	Kind       string         `json:"kind,omitempty"` // "" = basic
 	Work       float64        `json:"work,omitempty"`
@@ -30,22 +39,15 @@ type taskJSON struct {
 	OutBytes   int            `json:"out_bytes,omitempty"`
 	MaxWidth   int            `json:"max_width,omitempty"`
 	Members    []TaskID       `json:"members,omitempty"`
-	Sub        *Graph         `json:"sub,omitempty"`
+	Sub        *Wire          `json:"sub,omitempty"`
 	Meta       map[string]int `json:"meta,omitempty"`
 }
 
-// edgeJSON is the wire form of one Edge.
-type edgeJSON struct {
+// WireEdge is the wire form of one Edge.
+type WireEdge struct {
 	From  TaskID `json:"from"`
 	To    TaskID `json:"to"`
 	Bytes int    `json:"bytes,omitempty"`
-}
-
-// graphJSON is the wire form of a Graph.
-type graphJSON struct {
-	Name  string     `json:"name"`
-	Tasks []taskJSON `json:"tasks"`
-	Edges []edgeJSON `json:"edges,omitempty"`
 }
 
 func kindName(k Kind) (string, error) {
@@ -72,16 +74,15 @@ func kindByName(s string) (Kind, error) {
 	return 0, fmt.Errorf("graph: unknown task kind %q", s)
 }
 
-// MarshalJSON encodes the graph in the wire format above. Graph implements
-// json.Marshaler, so graphs embed directly into request/response structs.
-func (g *Graph) MarshalJSON() ([]byte, error) {
-	w := graphJSON{Name: g.Name, Tasks: make([]taskJSON, 0, len(g.tasks))}
-	for _, t := range g.tasks {
+// wire converts the graph, composed bodies included, to its wire form.
+func (g *Graph) wire() (*Wire, error) {
+	w := &Wire{Name: g.Name, Tasks: make([]WireTask, len(g.tasks))}
+	for i, t := range g.tasks {
 		kind, err := kindName(t.Kind)
 		if err != nil {
 			return nil, err
 		}
-		w.Tasks = append(w.Tasks, taskJSON{
+		w.Tasks[i] = WireTask{
 			Name:       t.Name,
 			Kind:       kind,
 			Work:       t.Work,
@@ -92,12 +93,26 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 			OutBytes:   t.OutBytes,
 			MaxWidth:   t.MaxWidth,
 			Members:    t.Members,
-			Sub:        t.Sub,
 			Meta:       t.Meta,
-		})
+		}
+		if t.Sub != nil {
+			if w.Tasks[i].Sub, err = t.Sub.wire(); err != nil {
+				return nil, err
+			}
+		}
 	}
 	for _, e := range g.Edges() {
-		w.Edges = append(w.Edges, edgeJSON{From: e.From, To: e.To, Bytes: e.Bytes})
+		w.Edges = append(w.Edges, WireEdge{From: e.From, To: e.To, Bytes: e.Bytes})
+	}
+	return w, nil
+}
+
+// MarshalJSON encodes the graph in the wire format above. Graph implements
+// json.Marshaler, so graphs embed directly into request/response structs.
+func (g *Graph) MarshalJSON() ([]byte, error) {
+	w, err := g.wire()
+	if err != nil {
+		return nil, err
 	}
 	return json.Marshal(w)
 }
@@ -106,35 +121,13 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 // receiver's contents. Edges referencing out-of-range tasks and self
 // edges are rejected.
 func (g *Graph) UnmarshalJSON(data []byte) error {
-	var w graphJSON
+	var w Wire
 	if err := json.Unmarshal(data, &w); err != nil {
 		return fmt.Errorf("graph: decoding: %w", err)
 	}
-	ng := New(w.Name)
-	for i, tw := range w.Tasks {
-		kind, err := kindByName(tw.Kind)
-		if err != nil {
-			return fmt.Errorf("graph %s: task %d: %w", w.Name, i, err)
-		}
-		ng.AddTask(&Task{
-			Name:       tw.Name,
-			Kind:       kind,
-			Work:       tw.Work,
-			CommBytes:  tw.CommBytes,
-			CommCount:  tw.CommCount,
-			BcastBytes: tw.BcastBytes,
-			BcastCount: tw.BcastCount,
-			OutBytes:   tw.OutBytes,
-			MaxWidth:   tw.MaxWidth,
-			Members:    tw.Members,
-			Sub:        tw.Sub,
-			Meta:       tw.Meta,
-		})
-	}
-	for _, ew := range w.Edges {
-		if err := ng.AddEdge(ew.From, ew.To, ew.Bytes); err != nil {
-			return err
-		}
+	ng, err := w.Build()
+	if err != nil {
+		return err
 	}
 	// Field-wise copy (not *g = *ng): Graph carries the edge-index mutex,
 	// which must not be copied. The decode target is not shared while
@@ -148,4 +141,108 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	g.edges = ng.edges
 	g.edgeSlab = ng.edgeSlab
 	return nil
+}
+
+// Build turns the wire form into a Graph: tasks from one slab, exact-size
+// adjacency, no (from, to) edge map. Unknown kinds, edges naming unknown
+// tasks and self edges are rejected; duplicate edges merge (bytes
+// accumulate) into their first occurrence. The wire form is outside input,
+// so the duplicate search is O(V+E) whatever the edge order: edges are
+// bucketed by source (a stable counting sort), and within one source a
+// per-target slot remembers the first edge to that target.
+func (w *Wire) Build() (*Graph, error) {
+	n := len(w.Tasks)
+	g := New(w.Name)
+	g.Grow(n, len(w.Edges))
+	slab := make([]Task, n)
+	for i := range w.Tasks {
+		tw := &w.Tasks[i]
+		kind, err := kindByName(tw.Kind)
+		if err != nil {
+			return nil, fmt.Errorf("graph %s: task %d: %w", w.Name, i, err)
+		}
+		t := &slab[i]
+		*t = Task{
+			Name:       tw.Name,
+			Kind:       kind,
+			Work:       tw.Work,
+			CommBytes:  tw.CommBytes,
+			CommCount:  tw.CommCount,
+			BcastBytes: tw.BcastBytes,
+			BcastCount: tw.BcastCount,
+			OutBytes:   tw.OutBytes,
+			MaxWidth:   tw.MaxWidth,
+			Members:    tw.Members,
+			Meta:       tw.Meta,
+		}
+		if tw.Sub != nil {
+			if t.Sub, err = tw.Sub.Build(); err != nil {
+				return nil, fmt.Errorf("graph %s: task %d: %w", w.Name, i, err)
+			}
+		}
+		g.AddTask(t)
+	}
+	if len(w.Edges) == 0 {
+		return g, nil
+	}
+
+	ne := len(w.Edges)
+	scratch := make([]int, 4*n+2*ne)
+	end, first := scratch[:n], scratch[n:2*n]
+	outDeg, inDeg := scratch[2*n:3*n], scratch[3*n:4*n]
+	bySrc, rep := scratch[4*n:4*n+ne], scratch[4*n+ne:]
+
+	// end[u] becomes the end of source u's bucket in bySrc, which lists the
+	// edge indices grouped by source in arrival order.
+	for _, e := range w.Edges {
+		if !g.valid(e.From) || !g.valid(e.To) {
+			return nil, fmt.Errorf("graph %s: edge %d->%d references unknown task", g.Name, e.From, e.To)
+		}
+		if e.From == e.To {
+			return nil, fmt.Errorf("graph %s: self edge on task %d", g.Name, e.From)
+		}
+		end[e.From]++
+	}
+	sum := 0
+	for u, c := range end {
+		end[u] = sum
+		sum += c
+	}
+	for i, e := range w.Edges {
+		bySrc[end[e.From]] = i
+		end[e.From]++
+	}
+
+	// rep[i] is the first edge with edge i's endpoints (i itself unless i
+	// is a duplicate). first[v]-1 is the latest first-occurrence edge into
+	// v; it belongs to the current source exactly when its From says so.
+	lo := 0
+	for u, hi := range end {
+		for _, i := range bySrc[lo:hi] {
+			to := w.Edges[i].To
+			if j := first[to] - 1; j >= 0 && int(w.Edges[j].From) == u {
+				rep[i] = j
+				continue
+			}
+			rep[i], first[to] = i, i+1
+			outDeg[u]++
+			inDeg[to]++
+		}
+		lo = hi
+	}
+
+	// Arrival order again, so succ, pred and out fill exactly as a chain of
+	// AddEdge calls would. slot (bySrc reused) maps a first occurrence to
+	// its Edge in the slab PresizeAdjacency carved.
+	g.PresizeAdjacency(outDeg, inDeg)
+	slot := bySrc
+	for i, e := range w.Edges {
+		if rep[i] != i {
+			g.edgeSlab[slot[rep[i]]].Bytes += e.Bytes
+			continue
+		}
+		slot[i] = len(g.edgeSlab)
+		g.AddUniqueEdge(e.From, e.To, e.Bytes)
+	}
+	return g, nil
 }

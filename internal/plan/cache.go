@@ -212,6 +212,10 @@ func NewShardedCache(capacity, shards int) *ShardedCache {
 	return c
 }
 
+// Capacity returns how many mappings the cache holds before any shard
+// must evict: the per-shard capacity times the shard count.
+func (c *ShardedCache) Capacity() int { return len(c.shards) * c.shards[0].capacity }
+
 // Shards returns the shard count.
 func (c *ShardedCache) Shards() int { return len(c.shards) }
 

@@ -257,26 +257,31 @@ func (p *Planner) Plan(ctx context.Context, g *graph.Graph, m *arch.Machine, opt
 		model = &cost.Model{Machine: m}
 	}
 
-	if o.DisableCache || p.cache == nil {
-		mp, err := p.planCold(ctx, g, m, P, model, &o)
-		if err == nil && o.Info != nil {
-			o.Info.Cold = true
-		}
-		return mp, err
-	}
-
+	// Everything of the cache key but the graph: the family the cold path
+	// reuses layers within. Each input is fingerprinted once per request.
 	key := Key{
-		Graph:          GraphFingerprint(g),
 		Machine:        MachineFingerprint(m),
 		Strategy:       o.Strategy.Name(),
 		P:              P,
-		ModelMachine:   MachineFingerprint(model.Machine),
 		Hybrid:         model.Hybrid,
 		ThreadsPerRank: model.ThreadsPerRank,
 		ForceGroups:    o.ForceGroups,
 		MinGroups:      o.MinGroups,
 		MaxGroups:      o.MaxGroups,
 	}
+	key.ModelMachine = key.Machine
+	if model.Machine != m {
+		key.ModelMachine = MachineFingerprint(model.Machine)
+	}
+
+	if o.DisableCache || p.cache == nil {
+		mp, err := p.planCold(ctx, g, m, key, model, &o)
+		if err == nil && o.Info != nil {
+			o.Info.Cold = true
+		}
+		return mp, err
+	}
+	key.Graph = GraphFingerprint(g)
 	for {
 		if mp, ok := p.cache.Get(key); ok {
 			o.Trace.Counter("plan.cache_hits").Add(1)
@@ -301,7 +306,7 @@ func (p *Planner) Plan(ctx context.Context, g *graph.Graph, m *arch.Machine, opt
 				}
 				return mp, nil
 			}
-			mp, err := p.planCold(ctx, g, m, P, model, &o)
+			mp, err := p.planCold(ctx, g, m, key, model, &o)
 			if err == nil {
 				p.cache.Add(key, mp)
 			}
@@ -338,7 +343,7 @@ func (p *Planner) Plan(ctx context.Context, g *graph.Graph, m *arch.Machine, opt
 // work the cache and the singleflight exist to avoid repeating. Panics
 // in the pipeline (or the hook) are recovered into an error wrapping
 // ErrPlanPanic so a crashing leader still finishes its flight.
-func (p *Planner) planCold(ctx context.Context, g *graph.Graph, m *arch.Machine, P int,
+func (p *Planner) planCold(ctx context.Context, g *graph.Graph, m *arch.Machine, key Key,
 	model *cost.Model, o *Options) (mp *core.Mapping, err error) {
 
 	defer func() {
@@ -362,18 +367,7 @@ func (p *Planner) planCold(ctx context.Context, g *graph.Graph, m *arch.Machine,
 	var inc *incrementalState
 	var reuse func(*graph.Graph, int, graph.Layer) *core.LayerSchedule
 	if !o.DisableIncremental {
-		fk := Key{
-			Machine:        MachineFingerprint(m),
-			Strategy:       o.Strategy.Name(),
-			P:              P,
-			ModelMachine:   MachineFingerprint(model.Machine),
-			Hybrid:         model.Hybrid,
-			ThreadsPerRank: model.ThreadsPerRank,
-			ForceGroups:    o.ForceGroups,
-			MinGroups:      o.MinGroups,
-			MaxGroups:      o.MaxGroups,
-		}.familyKey()
-		inc = &incrementalState{family: p.families.get(fk)}
+		inc = &incrementalState{family: p.families.get(key.familyKey())}
 		reuse = inc.reuse
 	}
 	sched, err := (&core.Scheduler{
@@ -384,7 +378,7 @@ func (p *Planner) planCold(ctx context.Context, g *graph.Graph, m *arch.Machine,
 		Parallel:    workers,
 		Reuse:       reuse,
 		Trace:       o.Trace,
-	}).ScheduleCtx(ctx, g, P)
+	}).ScheduleCtx(ctx, g, key.P)
 	if err != nil {
 		return nil, err
 	}

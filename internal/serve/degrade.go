@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"container/list"
-	"sync"
-
 	"mtask/internal/arch"
 	"mtask/internal/core"
 	"mtask/internal/graph"
@@ -45,77 +42,3 @@ func familyOf(g *graph.Graph, m *arch.Machine, strategy string, cores int) famil
 // DefaultFallbackCapacity is the fallback store's size when
 // WithDegraded does not set one.
 const DefaultFallbackCapacity = 256
-
-// fallbackStore retains the most recent successful mapping per
-// fingerprint family — including mappings whose exact cache Key has long
-// been evicted from the sharded LRU. It is the stale-but-valid reservoir
-// the degraded path serves from; lookups are stat-neutral by
-// construction (the store keeps no traffic counters), mirroring
-// plan.ShardedCache.Peek.
-type fallbackStore struct {
-	mu       sync.Mutex
-	capacity int
-	order    *list.List // front = most recently stored
-	entries  map[familyKey]*list.Element
-}
-
-type fallbackEntry struct {
-	key familyKey
-	mp  *core.Mapping
-}
-
-func newFallbackStore(capacity int) *fallbackStore {
-	if capacity < 1 {
-		capacity = DefaultFallbackCapacity
-	}
-	return &fallbackStore{
-		capacity: capacity,
-		order:    list.New(),
-		entries:  make(map[familyKey]*list.Element),
-	}
-}
-
-// Store records the family's latest known-good mapping.
-func (s *fallbackStore) Store(k familyKey, mp *core.Mapping) {
-	if s == nil || mp == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[k]; ok {
-		el.Value.(*fallbackEntry).mp = mp
-		s.order.MoveToFront(el)
-		return
-	}
-	s.entries[k] = s.order.PushFront(&fallbackEntry{key: k, mp: mp})
-	for s.order.Len() > s.capacity {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.entries, oldest.Value.(*fallbackEntry).key)
-	}
-}
-
-// Peek returns the family's stale mapping without any recency or stat
-// side effects.
-func (s *fallbackStore) Peek(k familyKey) (*core.Mapping, bool) {
-	if s == nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[k]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*fallbackEntry).mp, true
-}
-
-// Len returns the number of retained families.
-func (s *fallbackStore) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.order.Len()
-}

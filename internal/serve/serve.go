@@ -18,7 +18,8 @@
 //  3. Per-tenant quotas — token buckets reject excess traffic with 429
 //     before it is decoded, so one tenant cannot starve the rest.
 //  4. Sharded schedule cache — admitted requests are served from the
-//     planner's fingerprint-sharded LRU (plan.ShardedCache).
+//     planner's fingerprint-sharded LRU (plan.ShardedCache), and a cached
+//     mapping's /v1/plan reply is rendered once (see writePlanReply).
 //  5. Coalescing — concurrent cold requests for the same fingerprint
 //     collapse into one group-count search (singleflight); crashed or
 //     canceled leaders are re-elected, never adopted.
@@ -38,11 +39,13 @@
 // Every stage publishes counters into an obs.Recorder (serve.requests,
 // serve.shed, serve.rejected, serve.deadline_exceeded, serve.degraded,
 // serve.panics, serve.cache_hits, serve.coalesced, serve.plans_cold,
-// serve.queue_depth and admission gauges, per-shard cache traffic),
-// exposed in Prometheus-friendly text form on GET /metricz.
+// serve.queue_depth and admission gauges, serve.render.len, per-shard
+// cache traffic), exposed in Prometheus-friendly text form on GET
+// /metricz.
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -96,9 +99,20 @@ type Server struct {
 	rec     *obs.Recorder
 	maxBody int64
 
-	fallback     *fallbackStore
+	// fallback retains the most recent successful mapping per fingerprint
+	// family — including mappings whose exact cache Key has long been
+	// evicted from the sharded LRU: the stale-but-valid reservoir the
+	// degraded path serves from. Lookups Peek, so they leave recency alone
+	// and, the store keeping no traffic counters, are stat-neutral like
+	// plan.ShardedCache.Peek. Nil without WithDegraded.
+	fallback     *lru[familyKey, *core.Mapping]
 	degradeAfter time.Duration // 0 = degradation disabled
 	maxDeadline  time.Duration
+
+	// rendered memoizes the mapping-invariant part of /v1/plan replies;
+	// see writePlanReply. Bounded by the schedule cache's capacity, so it
+	// pins at most that many evicted (or purged) mappings.
+	rendered *lru[*core.Mapping, []byte]
 
 	capacity, shards int
 	healthWindow     time.Duration
@@ -129,7 +143,10 @@ func WithAdmission(cfg AdmissionConfig) Option {
 func WithDegraded(after time.Duration, capacity int) Option {
 	return func(s *Server) {
 		s.degradeAfter = after
-		s.fallback = newFallbackStore(capacity)
+		if capacity < 1 {
+			capacity = DefaultFallbackCapacity
+		}
+		s.fallback = newLRU[familyKey, *core.Mapping](capacity)
 	}
 }
 
@@ -211,6 +228,11 @@ func New(opts ...Option) *Server {
 	} else if c, ok := s.planner.Cache().(*plan.ShardedCache); ok {
 		s.sharded = c
 	}
+	renderCap := plan.DefaultCacheSize
+	if s.sharded != nil {
+		renderCap = s.sharded.Capacity()
+	}
+	s.rendered = newLRU[*core.Mapping, []byte](renderCap)
 	if s.rec == nil {
 		s.rec = obs.New(0, obs.WithName("mtaskd"))
 	}
@@ -319,6 +341,7 @@ func (s *Server) publishGauges() {
 	s.rec.SetMetric("serve.cache.hits", int64(hits))
 	s.rec.SetMetric("serve.cache.misses", int64(misses))
 	s.rec.SetMetric("serve.cache.len", int64(s.planner.Cache().Len()))
+	s.rec.SetMetric("serve.render.len", int64(s.rendered.Len()))
 	s.rec.SetMetric("serve.tenants", int64(s.quotas.Tenants()))
 	if s.adm != nil {
 		s.rec.SetMetric("serve.queue_depth", int64(s.adm.QueueDepth()))
@@ -397,14 +420,18 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request, simulate bool)
 		return
 	}
 
-	// Stage 3: decode and validate under the request deadline.
-	var req PlanRequest
-	body := ctxReader{ctx: ctx, r: http.MaxBytesReader(w, r.Body, s.maxBody)}
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	// Stage 3: decode and validate. The body is read under the request
+	// deadline and the size limit, then decoded in one pass.
+	body, err := readBody(ctxReader{ctx: ctx, r: http.MaxBytesReader(w, r.Body, s.maxBody)}, r.ContentLength)
+	var req *PlanRequest
+	if err == nil {
+		req, err = decodePlanRequest(body)
+	}
+	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			// The deadline expired mid-decode: that is the client's
-			// budget, not a malformed body — map it like every other
-			// context expiry instead of the generic 400/500 path.
+			// The deadline expired mid-read: that is the client's budget,
+			// not a malformed body — map it like every other context
+			// expiry instead of the generic 400/500 path.
 			s.writeCtxError(w, ctxErr)
 			return
 		}
@@ -423,7 +450,7 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request, simulate bool)
 
 	// Stage 4: plan — admitted work; its latency feeds the AIMD limit.
 	sample = true
-	mp, info, err := s.planMapping(ctx, &req, opts)
+	mp, info, err := s.planMapping(ctx, req, opts)
 	if err != nil {
 		overloaded = isOverloadSignal(err)
 		s.writePlanError(w, err)
@@ -449,7 +476,7 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request, simulate bool)
 	}
 
 	if !simulate {
-		writeJSON(w, http.StatusOK, buildPlanResponse(mp, info))
+		s.writePlanReply(w, mp, info)
 		return
 	}
 	model := (&cost.Model{Machine: mp.Machine}).WithMemo()
@@ -492,14 +519,19 @@ func (s *Server) planMapping(ctx context.Context, req *PlanRequest, opts []plan.
 	if s.chaos.Active() {
 		opts = append(opts, plan.WithColdPlanHook(s.chaosColdPlanHook))
 	}
-	fam := familyOf(req.Graph, req.Machine, req.strategyName(), req.Options.Cores)
+	// The family costs a fingerprint of graph and machine: only worth it
+	// with a fallback store to key.
+	var fam familyKey
+	if s.fallback != nil {
+		fam = familyOf(req.Graph, req.Machine, req.strategyName(), req.Options.Cores)
+	}
 
 	if s.degradeAfter <= 0 {
 		var info plan.Info
 		opts = append(opts, plan.WithInfo(&info))
 		mp, err := s.planner.Plan(ctx, req.Graph, req.Machine, opts...)
-		if err == nil {
-			s.fallback.Store(fam, mp)
+		if err == nil && s.fallback != nil {
+			s.fallback.Put(fam, mp)
 		}
 		return mp, info, err
 	}
@@ -542,7 +574,7 @@ func (s *Server) planMapping(ctx context.Context, req *PlanRequest, opts []plan.
 		stopWatch()
 		cancelPlan()
 		if r.err == nil {
-			s.fallback.Store(fam, r.mp)
+			s.fallback.Put(fam, r.mp)
 		}
 		return r.mp, r.info, r.err
 	}
@@ -591,8 +623,21 @@ func (s *Server) warmBudget() time.Duration {
 	return w
 }
 
+// readBody reads a whole request body into one buffer, presized from the
+// declared Content-Length where that is plausible (the declared length is
+// the client's word, so it sizes at most maxPresize up front).
+func readBody(r io.Reader, contentLength int64) ([]byte, error) {
+	const maxPresize = 1 << 20
+	var buf bytes.Buffer
+	if contentLength > 0 {
+		buf.Grow(int(min(contentLength, maxPresize)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
 // ctxReader fails reads once the request context is done, so a deadline
-// expiring mid-decode surfaces as context.DeadlineExceeded instead of
+// expiring mid-read surfaces as context.DeadlineExceeded instead of
 // blocking on the body.
 type ctxReader struct {
 	ctx context.Context

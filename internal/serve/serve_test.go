@@ -17,15 +17,7 @@ import (
 // steps varies the graph fingerprint.
 func testRequestBody(t *testing.T, steps int, opts PlanOptions) []byte {
 	t.Helper()
-	body, err := json.Marshal(&PlanRequest{
-		Graph:   ode.BuildPABGraph(4000, 600, 8, 2, steps),
-		Machine: arch.CHiC().SubsetCores(16),
-		Options: opts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
+	return requestBody(t, ode.BuildPABGraph(4000, 600, 8, 2, steps), arch.CHiC().SubsetCores(16), opts)
 }
 
 func post(h http.Handler, path string, body []byte, tenant string) *httptest.ResponseRecorder {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"mtask/internal/arch"
@@ -36,6 +37,33 @@ type PlanRequest struct {
 	Graph   *graph.Graph  `json:"graph"`
 	Machine *arch.Machine `json:"machine"`
 	Options PlanOptions   `json:"options,omitempty"`
+}
+
+// planRequestWire is PlanRequest with the graph in its plain wire form, so
+// one json.Unmarshal decodes the whole body: a nested json.Unmarshaler
+// would have the graph's bytes scanned three more times (to delimit them,
+// to validate them again, to decode them).
+type planRequestWire struct {
+	Graph   *graph.Wire   `json:"graph"`
+	Machine *arch.Machine `json:"machine"`
+	Options PlanOptions   `json:"options,omitempty"`
+}
+
+// decodePlanRequest decodes a request body. The body must be exactly one
+// JSON value: bytes after it are an error.
+func decodePlanRequest(body []byte) (*PlanRequest, error) {
+	var w planRequestWire
+	if err := json.Unmarshal(body, &w); err != nil {
+		return nil, err
+	}
+	req := &PlanRequest{Machine: w.Machine, Options: w.Options}
+	if w.Graph != nil {
+		var err error
+		if req.Graph, err = w.Graph.Build(); err != nil {
+			return nil, err
+		}
+	}
+	return req, nil
 }
 
 // Validate rejects structurally incomplete requests before they reach the
@@ -156,45 +184,4 @@ type ErrorResponse struct {
 	// "overloaded" (503, load shed — retry after Retry-After),
 	// "deadline_exceeded" (504), "canceled" (499) or "internal" (500).
 	Code string `json:"code"`
-}
-
-// buildPlanResponse summarizes a mapping.
-func buildPlanResponse(mp *core.Mapping, info plan.Info) *PlanResponse {
-	s := mp.Schedule
-	resp := &PlanResponse{
-		Graph:              s.Source.Name,
-		Machine:            mp.Machine.Name,
-		GraphFingerprint:   fmt.Sprintf("%016x", plan.GraphFingerprint(s.Source)),
-		MachineFingerprint: fmt.Sprintf("%016x", plan.MachineFingerprint(mp.Machine)),
-		Strategy:           mp.Strategy.Name(),
-		P:                  s.P,
-		Layers:             len(s.Layers),
-		LayerGroups:        make([]int, len(s.Layers)),
-		Makespan:           s.Time,
-		Cached:             info.CacheHit,
-		Coalesced:          info.Coalesced,
-		Degraded:           info.Degraded,
-		Incremental:        info.Incremental,
-		ReusedLayers:       info.ReusedLayers,
-		PatchedLayers:      info.PatchedLayers,
-	}
-	for li, layer := range s.Layers {
-		resp.LayerGroups[li] = layer.NumGroups()
-		for gi, tasks := range layer.Groups {
-			cores := mp.Cores[li][gi]
-			labels := make([]string, len(cores))
-			for ci, c := range cores {
-				labels[ci] = c.String()
-			}
-			for _, id := range tasks {
-				resp.Placements = append(resp.Placements, TaskPlacement{
-					Task:  s.Graph.Task(id).Name,
-					Layer: li,
-					Group: gi,
-					Cores: labels,
-				})
-			}
-		}
-	}
-	return resp
 }
