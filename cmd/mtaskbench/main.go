@@ -334,14 +334,13 @@ func runExecWavefront(layers int, slow, fast time.Duration, traceOut string) err
 
 // runExecScale makes execution scale like planning: it plans a
 // deterministic scaled solver graph of ~tasks tasks on a CHiC subset and
-// then actually executes the schedule end to end — once on the
-// persistent-worker wavefront dispatcher and once on the reference
-// channel dispatcher — with runnable synthetic bodies whose trajectory is
-// verified bitwise against the sequential reference. For each run it
-// reports wall time, per-task dispatch overhead, peak extra goroutines
-// (sampled concurrently; the worker dispatcher must stay at O(P)) and
-// core utilization. The greppable "persistent-worker dispatch ok" line is
-// the CI acceptance signal.
+// then actually executes the schedule end to end — once in wavefront mode
+// and once in layered mode — with runnable synthetic bodies whose
+// trajectory is verified bitwise against the sequential reference. For
+// each run it reports wall time, per-task dispatch overhead, peak extra
+// goroutines (sampled concurrently; both modes must stay at O(P)) and
+// core utilization. The greppable "rank-worker dispatch ok" line is the
+// CI acceptance signal.
 func runExecScale(tasks, cores int) error {
 	if cores < 1 || cores > mtask.CHiC().TotalCores() {
 		return fmt.Errorf("-exec-cores %d out of range 1..%d", cores, mtask.CHiC().TotalCores())
@@ -374,7 +373,7 @@ func runExecScale(tasks, cores int) error {
 		opts []mrt.ExecOption
 	}{
 		{"workers", []mrt.ExecOption{mrt.WithWavefront(), mrt.WithoutTimeline()}},
-		{"channel", []mrt.ExecOption{mrt.WithWavefront(), mrt.WithChannelDispatcher(), mrt.WithoutTimeline()}},
+		{"layered", []mrt.ExecOption{mrt.WithoutTimeline()}},
 	} {
 		w, err := mrt.NewWorld(cores)
 		if err != nil {
@@ -383,9 +382,8 @@ func runExecScale(tasks, cores int) error {
 		st := ode.NewScaledExecState(g)
 
 		// Sample the goroutine count while the run is in flight: the
-		// persistent-worker dispatcher must hold O(P) extra goroutines
-		// regardless of graph size, where goroutine-per-task dispatch
-		// peaks with the widest ready frontier.
+		// dispatcher must hold O(P) extra goroutines regardless of graph
+		// size and pass width.
 		base := stdruntime.NumGoroutine()
 		var peak atomic.Int64
 		stop := make(chan struct{})
@@ -434,15 +432,17 @@ func runExecScale(tasks, cores int) error {
 		results[mode.name] = result{wall: wall, peak: extra}
 	}
 
-	wk, ch := results["workers"], results["channel"]
-	fmt.Printf("\ndispatch overhead: workers %d ns/task vs channel %d ns/task (%.2fx)\n",
-		wk.wall.Nanoseconds()/int64(g.Len()), ch.wall.Nanoseconds()/int64(g.Len()),
-		float64(ch.wall)/float64(wk.wall))
-	if wk.peak > 4*cores+16 {
-		return fmt.Errorf("persistent-worker dispatch leaked goroutines: peak +%d for P=%d", wk.peak, cores)
+	wk, ly := results["workers"], results["layered"]
+	fmt.Printf("\ndispatch overhead: workers %d ns/task vs layered %d ns/task (%.2fx)\n",
+		wk.wall.Nanoseconds()/int64(g.Len()), ly.wall.Nanoseconds()/int64(g.Len()),
+		float64(ly.wall)/float64(wk.wall))
+	for _, mode := range []string{"workers", "layered"} {
+		if peak := results[mode].peak; peak > 4*cores+16 {
+			return fmt.Errorf("%s dispatch leaked goroutines: peak +%d for P=%d", mode, peak, cores)
+		}
 	}
-	fmt.Printf("persistent-worker dispatch ok: %d tasks executed and verified bitwise on P=%d (peak +%d goroutines)\n",
-		g.Len(), cores, wk.peak)
+	fmt.Printf("rank-worker dispatch ok: %d tasks executed and verified bitwise on P=%d in both modes (peak +%d/+%d goroutines)\n",
+		g.Len(), cores, wk.peak, ly.peak)
 	return nil
 }
 

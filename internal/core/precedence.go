@@ -23,9 +23,9 @@ type TaskDeps struct {
 	Slot  int
 
 	// Lo and Hi are the half-open symbolic core interval [Lo, Hi)
-	// occupied by the task's group in its layer. The persistent-worker
-	// dispatcher is keyed on it: the worker of rank Lo leads the task,
-	// the workers of (Lo, Hi) run the remaining group ranks.
+	// occupied by the task's group in its layer. The runtime's dispatcher
+	// is keyed on it: the worker of rank Lo leads the task, the workers
+	// of (Lo, Hi) run the remaining group ranks.
 	Lo, Hi int
 
 	// Deps lists the distinct scheduled tasks that must complete before
@@ -50,7 +50,7 @@ type TaskDeps struct {
 // schedule, precomputed once per schedule so the wavefront dispatcher's
 // hot path is counter decrements only.
 //
-// The layer barriers of the layered executor are a scheduling artifact,
+// The layer barriers of layered execution are a scheduling artifact,
 // not a data dependence: a task may start as soon as its graph
 // predecessors have completed AND every symbolic rank of its group's
 // interval has been released by its prior-layer occupant. Precedence
@@ -84,7 +84,7 @@ type Precedence struct {
 	LayerCounts []int
 
 	// MaxGroup is the largest rank-interval size over all scheduled
-	// tasks (the group-attempt scratch bound of the persistent-worker
+	// tasks (the group-attempt scratch bound of the runtime's
 	// dispatcher).
 	MaxGroup int
 }
@@ -275,8 +275,8 @@ func PrecedenceOf(s *Schedule) (*Precedence, error) {
 // sortTaskIDs sorts ids ascending in place. Insertion sort: dependence
 // candidate lists are short (a task's graph predecessors plus one entry
 // per rank of its interval, mostly duplicates), and unlike sort.Slice it
-// allocates nothing — PrecedenceOf runs once per wavefront pass and must
-// not pay per-task allocations at million-task sizes.
+// allocates nothing — PrecedenceOf runs once per executed schedule and
+// must not pay per-task allocations at million-task sizes.
 func sortTaskIDs(s []graph.TaskID) {
 	for i := 1; i < len(s); i++ {
 		v := s[i]

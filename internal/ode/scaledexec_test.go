@@ -17,10 +17,9 @@ func TestScaledExecMatchesReference(t *testing.T) {
 	g := BuildUnrolledGraph(20, 5, 4, 64, 600) // 400 tasks
 	want := ScaledReference(g)
 	modes := map[string][]runtime.ExecOption{
-		"layered": nil,
-		"workers": {runtime.WithWavefront()},
-		"channel": {runtime.WithWavefront(), runtime.WithChannelDispatcher()},
-		"lean":    {runtime.WithWavefront(), runtime.WithoutTimeline()},
+		"layered":   nil,
+		"wavefront": {runtime.WithWavefront()},
+		"lean":      {runtime.WithWavefront(), runtime.WithoutTimeline()},
 	}
 	for _, P := range []int{4, 8} {
 		sched := pabSchedule(t, g, P)
@@ -43,24 +42,21 @@ func TestScaledExecMatchesReference(t *testing.T) {
 
 func TestScaledExecIdenticalUnderInjectedFaults(t *testing.T) {
 	// Injected errors and panics with retries must leave the scaled
-	// trajectory byte-identical to the reference under both wavefront
-	// dispatchers (the bodies are idempotent by construction).
+	// trajectory byte-identical to the reference in both execution modes
+	// (the bodies are idempotent by construction).
 	g := BuildUnrolledGraph(10, 3, 4, 64, 600)
 	want := ScaledReference(g)
 	sched := pabSchedule(t, g, 8)
 	pol := fault.DefaultPolicy()
 	pol.MaxRetries = 8
 	pol.BaseBackoff = 50 * time.Microsecond
-	for _, dispatch := range [][]runtime.ExecOption{
-		{runtime.WithWavefront()},
-		{runtime.WithWavefront(), runtime.WithChannelDispatcher()},
-	} {
+	for _, mode := range [][]runtime.ExecOption{nil, {runtime.WithWavefront()}} {
 		for seed := int64(1); seed <= 2; seed++ {
 			inj := &fault.Injector{Seed: seed, PError: 0.05, PPanic: 0.03}
 			w, _ := runtime.NewWorld(8)
 			st := NewScaledExecState(g)
 			rep, err := runtime.ExecuteCtx(context.Background(), w, sched, st.Body,
-				append([]runtime.ExecOption{runtime.WithPolicy(pol), runtime.WithInjector(inj)}, dispatch...)...)
+				append([]runtime.ExecOption{runtime.WithPolicy(pol), runtime.WithInjector(inj)}, mode...)...)
 			if err != nil {
 				t.Fatalf("seed %d: %v\n%s", seed, err, rep)
 			}

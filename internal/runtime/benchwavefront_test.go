@@ -11,8 +11,8 @@ import (
 
 // The imbalanced-schedule pair measures what the wavefront dispatcher
 // recovers from layer barriers: per layer one group sleeps `slow`, the
-// other `fast`, with the slow side alternating. The layered executor pays
-// layers×slow; the wavefront executor overlaps the chains and pays about
+// other `fast`, with the slow side alternating. Layered execution pays
+// layers×slow; wavefront execution overlaps the chains and pays about
 // layers×(slow+fast)/2. The sleep-based bodies make the comparison valid
 // on any core count (including the single-CPU CI runner): the win is
 // waiting time, not compute parallelism.
@@ -33,9 +33,9 @@ func benchImbalanced(b *testing.B, opts ...ExecOption) {
 func BenchmarkExecLayeredImbalanced(b *testing.B)   { benchImbalanced(b) }
 func BenchmarkExecWavefrontImbalanced(b *testing.B) { benchImbalanced(b, WithWavefront()) }
 
-// BenchmarkExecWavefrontDispatch measures the dispatcher's own overhead
-// (counter decrements, per-task goroutines) with no-op bodies on a
-// balanced schedule, against the layered baseline.
+// The dispatch pair measures the dispatcher's own overhead (counter
+// decrements, wakeups, one pass per layer or one in all) with no-op
+// bodies on a balanced schedule.
 func benchDispatchOverhead(b *testing.B, opts ...ExecOption) {
 	sched := ImbalancedWorkload(2, 16)
 	body := ImbalancedBody(0, 0)
@@ -51,14 +51,7 @@ func benchDispatchOverhead(b *testing.B, opts ...ExecOption) {
 func BenchmarkExecLayeredDispatch(b *testing.B)   { benchDispatchOverhead(b) }
 func BenchmarkExecWavefrontDispatch(b *testing.B) { benchDispatchOverhead(b, WithWavefront()) }
 
-// BenchmarkExecWavefrontDispatchChannel pins the retired goroutine-per-task
-// channel dispatcher on the same workload — the before/after pair for the
-// persistent-worker rewrite.
-func BenchmarkExecWavefrontDispatchChannel(b *testing.B) {
-	benchDispatchOverhead(b, WithWavefront(), WithChannelDispatcher())
-}
-
-// The scaled-dispatch trio measures pure per-task dispatch overhead at
+// The scaled-dispatch pair measures pure per-task dispatch overhead at
 // planning-benchmark shapes: 2000 trivial group tasks on 8 ranks in lean
 // (WithoutTimeline) reports, so the numbers are counters, wakeups and
 // scratch reuse — not bodies, spans or sleeps. ns/task is reported as its
@@ -84,9 +77,6 @@ func benchScaledDispatch(b *testing.B, opts ...ExecOption) {
 
 func BenchmarkExecScaledDispatchLayered(b *testing.B) { benchScaledDispatch(b) }
 func BenchmarkExecScaledDispatchWorkers(b *testing.B) { benchScaledDispatch(b, WithWavefront()) }
-func BenchmarkExecScaledDispatchChannel(b *testing.B) {
-	benchScaledDispatch(b, WithWavefront(), WithChannelDispatcher())
-}
 
 // The recorder-overhead pair: NilRecorder pins the no-op fast path of an
 // unused WithRecorder(nil) against the plain dispatch baseline (the two

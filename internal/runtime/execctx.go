@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mtask/internal/core"
@@ -29,7 +28,7 @@ type Replanner func(ctx context.Context, survivors int) (*core.Schedule, error)
 // new group sizes).
 type HierarchicalReplanner func(ctx context.Context, survivors int) (*core.HierarchicalSchedule, error)
 
-// Resizer makes a running execution malleable: the layered executor
+// Resizer makes a running execution malleable: layered execution
 // consults it at every completed layer barrier (the same checkpoints that
 // make degrade-and-replan sound) with the number of completed layers. A
 // nil schedule means "keep the current one"; a non-nil schedule replaces
@@ -56,7 +55,6 @@ type execConfig struct {
 	resize     Resizer
 	grace      time.Duration
 	wavefront  bool
-	wfChannel  bool // wavefront via the channel reference dispatcher
 	noTimeline bool
 	rec        *obs.Recorder
 }
@@ -81,8 +79,8 @@ func WithHierarchicalReplanner(r HierarchicalReplanner) ExecOption {
 }
 
 // WithResizer installs a voluntary resize callback consulted at every
-// completed layer barrier; see Resizer. Only valid with the layered
-// executor — combining it with WithWavefront fails the execution with
+// completed layer barrier; see Resizer. Only valid with layered
+// execution — combining it with WithWavefront fails the execution with
 // ErrResizeInWavefront.
 func WithResizer(r Resizer) ExecOption { return func(c *execConfig) { c.resize = r } }
 
@@ -146,8 +144,10 @@ var errLayerDone = errors.New("runtime: layer execution finished")
 //   - aborts the group communicator of a failed, panicked or timed-out
 //     task so its peers cannot deadlock at a collective — every attempt
 //     runs on a fresh group communicator;
-//   - enforces the policy's per-attempt and per-layer timeouts and the
-//     caller's ctx throughout;
+//   - enforces the policy's per-attempt and per-layer timeouts, and
+//     observes the caller's ctx between attempts and through
+//     TaskCtx.Ctx (at once, like a timeout, when the policy sets a
+//     deadline; see wfDispatcher);
 //   - aggregates per-rank errors with errors.Join;
 //   - retries failed tasks per the policy (exponential backoff with
 //     deterministic jitter), re-running the whole group attempt;
@@ -209,25 +209,10 @@ func ExecuteHierarchicalCtx(ctx context.Context, w *World, hs *core.Hierarchical
 	rep.begin(hs.Top.P)
 	rep.presizeSpans(hs.Top.Source.Len())
 
-	type hierState struct {
-		hs  *core.HierarchicalSchedule
-		sub map[*graph.Task]*core.HierarchicalSchedule
-	}
-	var cur atomic.Pointer[hierState]
-	cur.Store(&hierState{hs: hs, sub: subScheduleIndex(hs)})
-
-	wrapped := func(t *graph.Task) TaskFunc {
-		if t.Kind != graph.KindComposed {
-			return body(t)
-		}
-		return func(tc *TaskCtx) error {
-			sub, ok := cur.Load().sub[t]
-			if !ok {
-				return fmt.Errorf("%w: %q", ErrNoSubSchedule, t.Name)
-			}
-			return runComposed(tc, t, sub, body, iterations)
-		}
-	}
+	// The composed bodies follow the hierarchy in force; replans happen
+	// between passes, when no leader is resolving a body.
+	bodies := composedBodies(hs, body, iterations)
+	wrapped := func(t *graph.Task) TaskFunc { return bodies(t) }
 	resched := func(rctx context.Context, survivors int) (*core.Schedule, error) {
 		if cfg.hreplan == nil {
 			return nil, nil
@@ -236,7 +221,7 @@ func ExecuteHierarchicalCtx(ctx context.Context, w *World, hs *core.Hierarchical
 		if err != nil {
 			return nil, err
 		}
-		cur.Store(&hierState{hs: nhs, sub: subScheduleIndex(nhs)})
+		bodies = composedBodies(nhs, body, iterations)
 		return nhs.Top, nil
 	}
 
@@ -256,9 +241,11 @@ func newExecConfig(opts []ExecOption) *execConfig {
 	return cfg
 }
 
-// runLayered drives the layer loop with degrade-and-replan: layers advance
-// only after completing, so the layer index is the checkpoint that
-// survives a replan.
+// runLayered drives the dispatcher over the schedule with resizes and
+// degrade-and-replan between passes: layered execution runs one pass per
+// layer, wavefront execution one pass over every remaining layer. The
+// completed-layer prefix a pass returns is the checkpoint that survives a
+// replan.
 func runLayered(ctx context.Context, w *World, sched *core.Schedule, body func(t *graph.Task) TaskFunc,
 	cfg *execConfig, rep *Report, resched Replanner) error {
 
@@ -275,53 +262,54 @@ func runLayered(ctx context.Context, w *World, sched *core.Schedule, body func(t
 	base := sched.P // survivor accounting resets on voluntary resizes
 	lost := 0
 	li := 0
+	var d *wfDispatcher // of cur; nil until built, and again when cur changes
+	var stats wfStats
+	defer func() {
+		stats.add(d)
+		stats.flush(cfg.rec)
+	}()
 	for li < len(cur.Layers) {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("runtime: execution canceled before layer %d: %w", li, err)
 		}
-		var layerErr error
-		var failedCores int
-		if cfg.wavefront {
-			// One wavefront pass runs every remaining layer without global
-			// joins; on failure it drains the in-flight frontier and
-			// reports the completed-layer prefix as the resume checkpoint.
-			// The persistent-worker dispatcher is the default; the channel
-			// dispatcher is the kept reference implementation.
-			if cfg.wfChannel {
-				li, layerErr, failedCores = runWavefrontPass(ctx, w, cur, li, body, cfg, rep)
-			} else {
-				li, layerErr, failedCores = runWavefrontWorkersPass(ctx, w, cur, li, body, cfg, rep)
-			}
-		} else {
-			layerErr, failedCores = runLayer(ctx, w, cur, li, body, cfg, rep)
-			if layerErr == nil {
-				rep.layerDone()
-				cfg.rec.Instant("layer-done", "exec", obs.ControlRank, cfg.rec.Now())
-				li++
-				if cfg.resize != nil && li < len(cur.Layers) {
-					ns, rerr := cfg.resize(ctx, li)
-					if rerr != nil {
-						return fmt.Errorf("runtime: resize at layer barrier %d: %w", li, rerr)
-					}
-					if ns != nil && ns != cur {
-						if ns.P > w.P {
-							return fmt.Errorf("runtime: resized schedule needs %d cores, world has %d", ns.P, w.P)
-						}
-						if serr := core.SameLayering(cur, ns); serr != nil {
-							return fmt.Errorf("runtime: resize at layer barrier %d: %w", li, serr)
-						}
-						delta := ns.P - cur.P
-						rep.resized(delta)
-						cfg.rec.Instant(fmt.Sprintf("resize:%+d", delta), "exec", obs.ControlRank, cfg.rec.Now())
-						cfg.rec.Counter("exec.resizes").Add(1)
-						cur = ns // remaining layers run on the new core count
-						base = ns.P
-						lost = 0
-					}
-				}
+		if d == nil {
+			var err error
+			if d, err = newDispatcher(w, cur, li, body, cfg, rep); err != nil {
+				return err
 			}
 		}
+		to := li + 1 // joining a one-layer pass is the layer barrier
+		if cfg.wavefront {
+			to = len(cur.Layers)
+		}
+		var layerErr error
+		var failedCores int
+		li, layerErr, failedCores = d.pass(ctx, to)
 		if layerErr == nil {
+			if cfg.resize == nil || li == len(cur.Layers) {
+				continue
+			}
+			ns, rerr := cfg.resize(ctx, li)
+			if rerr != nil {
+				return fmt.Errorf("runtime: resize at layer barrier %d: %w", li, rerr)
+			}
+			if ns != nil && ns != cur {
+				if ns.P > w.P {
+					return fmt.Errorf("runtime: resized schedule needs %d cores, world has %d", ns.P, w.P)
+				}
+				if serr := core.SameLayering(cur, ns); serr != nil {
+					return fmt.Errorf("runtime: resize at layer barrier %d: %w", li, serr)
+				}
+				delta := ns.P - cur.P
+				rep.resized(delta)
+				cfg.rec.Instant(fmt.Sprintf("resize:%+d", delta), "exec", obs.ControlRank, cfg.rec.Now())
+				cfg.rec.Counter("exec.resizes").Add(1)
+				cur = ns // remaining layers run on the new core count
+				base = ns.P
+				lost = 0
+				stats.add(d)
+				d = nil
+			}
 			continue
 		}
 		if !cfg.policy.DegradeAndReplan || failedCores == 0 || ctx.Err() != nil {
@@ -350,100 +338,31 @@ func runLayered(ctx context.Context, w *World, sched *core.Schedule, body func(t
 		cfg.rec.Instant("replan", "fault", obs.ControlRank, cfg.rec.Now())
 		cfg.rec.Counter("fault.lost_cores").Add(int64(failedCores))
 		cur = ns // resume from the last completed layer barrier
+		stats.add(d)
+		d = nil
 	}
 	return nil
 }
 
-// runLayer executes one layer: each core group runs on its own
-// coordinator goroutine, and joining them is the layer barrier (which,
-// unlike a communicator barrier, cannot deadlock on a lost group). It
-// returns the joined group errors and the number of symbolic cores owned
-// by groups whose failures exhausted their retry budget.
-func runLayer(ctx context.Context, w *World, sched *core.Schedule, li int, body func(t *graph.Task) TaskFunc,
-	cfg *execConfig, rep *Report) (error, int) {
-
-	ls := sched.Layers[li]
-	lctx := ctx
-	if cfg.policy.LayerTimeout > 0 {
-		var cancel context.CancelFunc
-		lctx, cancel = context.WithTimeout(ctx, cfg.policy.LayerTimeout)
-		defer cancel()
-	}
-	// A fresh per-layer global communicator for orthogonal exchanges,
-	// built lazily: most bodies only use their group communicator, and for
-	// those layers nothing is allocated. The layer-end abort still reaches
-	// it in every ordering, so stragglers of abandoned attempts blocked in
-	// a global collective are released (and a straggler touching the
-	// global for the first time after the layer finished gets it
-	// pre-poisoned instead of deadlocking).
-	global := newLazyGlobal(Global, identityRanks(sched.P), &w.Stats, cfg.rec)
-	defer global.abort(errLayerDone)
-
-	ng := len(ls.Groups)
-	groupErrs := make([]error, ng)
-	exhausted := make([]bool, ng)
-	var wg sync.WaitGroup
-	for gi := 0; gi < ng; gi++ {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			groupErrs[gi], exhausted[gi] = runGroup(lctx, w, sched, li, core.GroupID(gi), global, body, cfg, rep)
-		}(gi)
-	}
-	wg.Wait()
-	failedCores := 0
-	for gi, ex := range exhausted {
-		if ex {
-			lo, hi := ls.RankRange(core.GroupID(gi))
-			failedCores += hi - lo
-		}
-	}
-	joined := make([]error, 0, ng)
-	for gi, err := range groupErrs {
-		if err != nil {
-			joined = append(joined, fmt.Errorf("layer %d group %d: %w", li, gi, err))
-		}
-	}
-	return errors.Join(joined...), failedCores
-}
-
-// runGroup executes one group's task queue, retrying failed attempts per
-// the policy. The second result reports whether the group's failure
-// exhausted its budget (the degrade-and-replan trigger, which costs the
-// group its cores).
-func runGroup(ctx context.Context, w *World, sched *core.Schedule, li int, gi core.GroupID,
-	global *lazyGlobal, body func(t *graph.Task) TaskFunc, cfg *execConfig, rep *Report) (error, bool) {
-
-	ls := sched.Layers[li]
-	lo, hi := ls.RankRange(gi)
-	for _, id := range ls.Groups[gi] {
-		if err, exhausted := runScheduledTask(ctx, w, sched, li, gi, lo, hi, id, global, body, cfg, rep, nil); err != nil {
-			return err, exhausted
-		}
-	}
-	return nil, false
-}
-
 // runScheduledTask runs one scheduled task (expanding a contracted chain
-// back to its source tasks) on the rank interval [lo, hi), with the
-// policy's full retry loop around each source task. It is the shared
-// execution unit of the layered executor (which walks a group's task queue
-// sequentially) and both wavefront dispatchers (which launch it the moment
-// the task's dependences are satisfied). With a non-nil coop the attempts
-// run cooperatively on that persistent rank worker and its followers;
-// otherwise each attempt spawns its goroutines via runAttempt. The second
-// result reports whether a failure exhausted the retry budget — the
-// degrade-and-replan trigger that costs the group its cores.
-func runScheduledTask(ctx context.Context, w *World, sched *core.Schedule, li int, gi core.GroupID,
-	lo, hi int, id graph.TaskID, global *lazyGlobal, body func(t *graph.Task) TaskFunc,
-	cfg *execConfig, rep *Report, coop *wfWorker) (error, bool) {
+// back to its source tasks) on its rank interval [td.Lo, td.Hi), with the
+// policy's full retry loop around each source task; the task's leader
+// calls it once the task's dependences are satisfied. With a non-nil coop
+// the attempts run cooperatively on that rank worker and its followers;
+// otherwise each attempt is abandonable and spawns its goroutines via
+// runAttempt. The second result reports whether a failure exhausted the
+// retry budget — the degrade-and-replan trigger that costs the group its
+// cores.
+func runScheduledTask(ctx context.Context, w *World, sched *core.Schedule, td *core.TaskDeps,
+	global *lazyGlobal, body func(t *graph.Task) TaskFunc, cfg *execConfig, rep *Report,
+	coop *wfWorker) (error, bool) {
 
 	// Inline SourceTasks: the single-task case must not allocate a slice
-	// per dispatch (the persistent-worker hot path is allocation-free).
+	// per dispatch (the cooperative hot path is allocation-free).
 	var single [1]graph.TaskID
-	srcs := sched.Graph.Task(id).Members
+	srcs := sched.Graph.Task(td.ID).Members
 	if len(srcs) == 0 {
-		single[0] = id
+		single[0] = td.ID
 		srcs = single[:]
 	}
 	for _, src := range srcs {
@@ -461,12 +380,12 @@ func runScheduledTask(ctx context.Context, w *World, sched *core.Schedule, li in
 			tstart := rep.since()
 			var aerr error
 			if coop != nil {
-				aerr = coop.coopAttempt(t, fn, attempt, li, gi, id, lo, hi)
+				aerr = coop.coopAttempt(t, fn, attempt, td)
 			} else {
-				aerr = runAttempt(ctx, w, t, fn, attempt, li, gi, lo, hi, global, cfg, rep)
+				aerr = runAttempt(ctx, w, t, fn, attempt, td, global, cfg, rep)
 			}
 			if aerr == nil {
-				rep.addSpan(t.Name, li, int(gi), hi-lo, tstart, rep.since())
+				rep.addSpan(t.Name, td.Layer, int(td.Group), td.Hi-td.Lo, tstart, rep.since())
 				break
 			}
 			rep.failed(t.Name)
@@ -477,9 +396,9 @@ func runScheduledTask(ctx context.Context, w *World, sched *core.Schedule, li in
 				return fmt.Errorf("runtime: task %q: %w", t.Name, aerr), false
 			}
 			if errors.Is(aerr, ErrGlobalInWavefront) {
-				// A body touched TaskCtx.Global under the wavefront
-				// dispatcher: a programming error, not a fault — fail fast
-				// without retries or core-loss escalation.
+				// A body touched TaskCtx.Global in wavefront mode: a
+				// programming error, not a fault — fail fast without
+				// retries or core-loss escalation.
 				return fmt.Errorf("runtime: task %q: %w", t.Name, aerr), false
 			}
 			if !cfg.policy.Retryable(aerr) || retries >= cfg.policy.MaxRetries {
@@ -512,10 +431,10 @@ func runScheduledTask(ctx context.Context, w *World, sched *core.Schedule, li in
 // per-attempt deadline. On timeout the communicator is aborted and, if the
 // attempt still does not settle within the abandon grace, its goroutines
 // are abandoned (their errors are no longer read — no data race).
-func runAttempt(parent context.Context, w *World, t *graph.Task, fn TaskFunc, attempt, li int,
-	gi core.GroupID, lo, hi int, global *lazyGlobal, cfg *execConfig, rep *Report) error {
+func runAttempt(parent context.Context, w *World, t *graph.Task, fn TaskFunc, attempt int,
+	td *core.TaskDeps, global *lazyGlobal, cfg *execConfig, rep *Report) error {
 
-	size := hi - lo
+	lo, size := td.Lo, td.Hi-td.Lo
 	ranks := make([]int, size)
 	for i := range ranks {
 		ranks[i] = lo + i
@@ -543,8 +462,8 @@ func runAttempt(parent context.Context, w *World, t *graph.Task, fn TaskFunc, at
 					Group:      &Comm{shared: gsh, rank: r},
 					Global:     &Comm{lazy: global, rank: lo + r},
 					Task:       t,
-					Layer:      li,
-					GroupIndex: int(gi),
+					Layer:      td.Layer,
+					GroupIndex: int(td.Group),
 					Ctx:        actx,
 				}, fn, attempt, gsh, cfg)
 			}(r)
@@ -555,7 +474,7 @@ func runAttempt(parent context.Context, w *World, t *graph.Task, fn TaskFunc, at
 
 	select {
 	case <-done:
-		err := settleAttempt(t, rep, errs, actx)
+		err := settleAttempt(t, rep, errs)
 		gsh.release() // attempt settled: no goroutine holds the comm anymore
 		return err
 	case <-actx.Done():
@@ -565,7 +484,7 @@ func runAttempt(parent context.Context, w *World, t *graph.Task, fn TaskFunc, at
 		defer timer.Stop()
 		select {
 		case <-done:
-			_ = settleAttempt(t, rep, errs, actx) // count panics; timeout is the primary error
+			_ = settleAttempt(t, rep, errs) // count panics; timeout is the primary error
 			gsh.release()
 			return fmt.Errorf("task %q attempt %d: %w", t.Name, attempt, cause)
 		case <-timer.C:
@@ -581,9 +500,9 @@ func runAttempt(parent context.Context, w *World, t *graph.Task, fn TaskFunc, at
 // injector consult, the body call, panic recovery (*PanicError) with
 // *AbortError classification, the communicator abort on failure and the
 // per-rank attempt span. It is shared by runAttempt, which runs it on a
-// fresh goroutine per rank, and by the persistent-worker dispatcher,
-// whose rank workers call it in place with reused TaskCtx scratch. tc
-// must be fully populated and its Group handle must resolve to gsh.
+// fresh goroutine per rank, and by the rank workers, which call it in
+// place with reused TaskCtx scratch. tc must be fully populated and its
+// Group handle must resolve to gsh.
 func runRankAttempt(tc *TaskCtx, fn TaskFunc, attempt int, gsh *commShared, cfg *execConfig) (err error) {
 	t := tc.Task
 	r := tc.Group.rank
@@ -630,7 +549,7 @@ func runRankAttempt(tc *TaskCtx, fn TaskFunc, attempt int, gsh *commShared, cfg 
 // recovered panics are counted, communicator aborts are secondary (they
 // are the echo of the originating failure) and all real errors are joined
 // in rank order.
-func settleAttempt(t *graph.Task, rep *Report, errs []error, actx context.Context) error {
+func settleAttempt(t *graph.Task, rep *Report, errs []error) error {
 	var real, aborts []error
 	panics := 0
 	for r, err := range errs {
@@ -661,9 +580,6 @@ func settleAttempt(t *graph.Task, rep *Report, errs []error, actx context.Contex
 		// Aborted without a local originating error (e.g. the watchdog
 		// fired between completion and the select): surface the aborts.
 		return errors.Join(aborts...)
-	}
-	if err := actx.Err(); err != nil && panics == 0 && len(errs) == 0 {
-		return err
 	}
 	return nil
 }

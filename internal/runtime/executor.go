@@ -55,39 +55,7 @@ func Execute(w *World, sched *core.Schedule, body func(t *graph.Task) TaskFunc) 
 	}
 	errs := make([]error, w.P)
 	w.Run(func(global *Comm) {
-		rank := global.Rank()
-		for li, ls := range sched.Layers {
-			gi := int(ls.GroupOfRank(rank))
-			groupComm := global.Split(gi, rank, Group)
-			for _, id := range ls.Groups[gi] {
-				if errs[rank] != nil {
-					break // keep collectives below, skip work
-				}
-				for _, src := range sched.SourceTasks(id) {
-					t := sched.Source.Task(src)
-					fn := body(t)
-					if fn == nil {
-						errs[rank] = fmt.Errorf("runtime: no body for task %q", t.Name)
-						break
-					}
-					ctx := &TaskCtx{
-						Group:      groupComm,
-						Global:     global,
-						Task:       t,
-						Layer:      li,
-						GroupIndex: gi,
-					}
-					if err := fn(ctx); err != nil {
-						errs[rank] = fmt.Errorf("runtime: task %q: %w", t.Name, err)
-						break
-					}
-				}
-				if errs[rank] != nil {
-					break
-				}
-			}
-			global.Barrier()
-		}
+		errs[global.Rank()] = executeOn(global, global, sched, body)
 	})
 	return joinRankErrors(errs)
 }
@@ -130,9 +98,16 @@ func subScheduleIndex(hs *core.HierarchicalSchedule) map[*graph.Task]*core.Hiera
 // loops terminate).
 func ExecuteHierarchical(w *World, hs *core.HierarchicalSchedule, body func(t *graph.Task) TaskFunc,
 	iterations func(t *graph.Task, done int) bool) error {
+	return Execute(w, hs.Top, composedBodies(hs, body, iterations))
+}
+
+// composedBodies extends body to the composed tasks of hs: a composed
+// task's body runs its sub-schedule on the task's group.
+func composedBodies(hs *core.HierarchicalSchedule, body func(t *graph.Task) TaskFunc,
+	iterations func(t *graph.Task, done int) bool) func(t *graph.Task) TaskFunc {
 
 	subOf := subScheduleIndex(hs)
-	wrapped := func(t *graph.Task) TaskFunc {
+	return func(t *graph.Task) TaskFunc {
 		if t.Kind != graph.KindComposed {
 			return body(t)
 		}
@@ -144,15 +119,18 @@ func ExecuteHierarchical(w *World, hs *core.HierarchicalSchedule, body func(t *g
 			return runComposed(ctx, t, sub, body, iterations)
 		}
 	}
-	return Execute(w, hs.Top, wrapped)
 }
 
 // runComposed repeats a composed task's scheduled body on the group that
 // executes it, consulting iterations before every trip.
 func runComposed(ctx *TaskCtx, t *graph.Task, sub *core.HierarchicalSchedule,
 	body func(t *graph.Task) TaskFunc, iterations func(t *graph.Task, done int) bool) error {
+	if sub.Top.P != ctx.Group.Size() {
+		return fmt.Errorf("runtime: sub-schedule needs %d cores, group has %d", sub.Top.P, ctx.Group.Size())
+	}
+	bodies := composedBodies(sub, body, iterations)
 	for done := 0; iterations == nil && done < 1 || iterations != nil && iterations(t, done); done++ {
-		if err := executeOn(ctx.Group, sub, body, iterations); err != nil {
+		if err := executeOn(ctx.Group, nil, sub.Top, bodies); err != nil {
 			return err
 		}
 		if iterations == nil {
@@ -162,16 +140,13 @@ func runComposed(ctx *TaskCtx, t *graph.Task, sub *core.HierarchicalSchedule,
 	return nil
 }
 
-// executeOn runs a (hierarchical) schedule on an existing communicator:
-// the schedule's P must equal the communicator size. It mirrors Execute
-// but splits the given group instead of a world.
-func executeOn(comm *Comm, hs *core.HierarchicalSchedule, body func(t *graph.Task) TaskFunc,
-	iterations func(t *graph.Task, done int) bool) error {
-	sched := hs.Top
-	if sched.P != comm.Size() {
-		return fmt.Errorf("runtime: sub-schedule needs %d cores, group has %d", sched.P, comm.Size())
-	}
-	subOf := subScheduleIndex(hs)
+// executeOn is the communicator-split executor: this rank's share of
+// running sched on comm, whose size must be sched.P. Every layer splits
+// comm into the schedule's core groups, the rank runs its group's task
+// list, and a barrier on comm separates the layers. A failed rank skips
+// its remaining work but keeps the layer collectives, so its peers cannot
+// deadlock. global is handed to the bodies as TaskCtx.Global.
+func executeOn(comm, global *Comm, sched *core.Schedule, body func(t *graph.Task) TaskFunc) error {
 	rank := comm.Rank()
 	var firstErr error
 	for li, ls := range sched.Layers {
@@ -179,35 +154,20 @@ func executeOn(comm *Comm, hs *core.HierarchicalSchedule, body func(t *graph.Tas
 		groupComm := comm.Split(gi, rank, Group)
 		for _, id := range ls.Groups[gi] {
 			if firstErr != nil {
-				break // keep the layer collectives, skip the work
+				break
 			}
 			for _, src := range sched.SourceTasks(id) {
 				t := sched.Source.Task(src)
-				var fn TaskFunc
-				if t.Kind == graph.KindComposed {
-					sub, ok := subOf[t]
-					if !ok {
-						firstErr = fmt.Errorf("%w: %q", ErrNoSubSchedule, t.Name)
-						break
-					}
-					fn = func(ctx *TaskCtx) error {
-						return runComposed(ctx, t, sub, body, iterations)
-					}
-				} else {
-					fn = body(t)
-				}
+				fn := body(t)
 				if fn == nil {
 					firstErr = fmt.Errorf("runtime: no body for task %q", t.Name)
 					break
 				}
-				ctx := &TaskCtx{Group: groupComm, Task: t, Layer: li, GroupIndex: gi}
+				ctx := &TaskCtx{Group: groupComm, Global: global, Task: t, Layer: li, GroupIndex: gi}
 				if err := fn(ctx); err != nil {
 					firstErr = fmt.Errorf("runtime: task %q: %w", t.Name, err)
 					break
 				}
-			}
-			if firstErr != nil {
-				break
 			}
 		}
 		comm.Barrier()

@@ -10,15 +10,15 @@ import (
 )
 
 // ImbalancedWorkload builds the canonical workload where wavefront
-// execution beats the layer-synchronous executor: two core groups of P/2
+// execution beats layer-synchronous execution: two core groups of P/2
 // ranks, `layers` layers of two independent per-group chains, and per
 // layer one slow and one fast task with the slow side alternating between
 // the groups. Task names are "slow[i]" / "fast[i]"; ImbalancedBody turns
 // them into sleeps.
 //
-// Under the layered executor every layer costs max(slow, fast) = slow (the
-// fast group idles at the join), so the wall time is layers×slow. The
-// wavefront dispatcher runs the two chains independently; each chain
+// In layered mode every layer costs max(slow, fast) = slow (the fast
+// group idles at the join), so the wall time is layers×slow. In
+// wavefront mode the two chains run independently; each chain
 // alternates slow and fast tasks, so both finish in about
 // layers×(slow+fast)/2 — the idle time at the barrier is recovered. The
 // win is pure waiting time, so it holds even on a single-CPU host.

@@ -1,0 +1,157 @@
+package runtime
+
+import (
+	"context"
+	"sort"
+	"testing"
+	"time"
+
+	"mtask/internal/core"
+	"mtask/internal/graph"
+)
+
+// runSequential is the reference the dispatcher is compared against: an
+// interpreter that runs the scheduled tasks of layers [from, to) one at a
+// time in schedule order, every attempt on fresh goroutines (runAttempt).
+// It shares the attempt loop with the dispatcher — retries, panic
+// isolation and attempt numbering are the injector's contract — but none
+// of the dispatch: no counters, chains, parking or attempt publication.
+// One task at a time leaves no epoch for a global collective, so
+// TaskCtx.Global is poisoned as in wavefront mode.
+func runSequential(t *testing.T, sched *core.Schedule, from, to int, body func(t *graph.Task) TaskFunc,
+	opts ...ExecOption) *Report {
+
+	t.Helper()
+	cfg := newExecConfig(opts)
+	rep := NewReport()
+	rep.lean = cfg.noTimeline
+	rep.begin(sched.P)
+	prec, err := core.PrecedenceOf(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := NewWorld(sched.P)
+	global := newLazyGlobal(Global, identityRanks(sched.P), nil, nil)
+	global.abort(ErrGlobalInWavefront)
+	for _, id := range prec.Scheduled {
+		td := prec.Tasks[id]
+		if td.Layer < from || td.Layer >= to {
+			continue
+		}
+		if err, _ := runScheduledTask(context.Background(), w, sched, td, global, body, cfg, rep, nil); err != nil {
+			t.Fatalf("sequential reference failed: %v\n%s", err, rep)
+		}
+	}
+	rep.Layers = to - from
+	rep.Wall = rep.since()
+	return rep
+}
+
+// checkExecution checks the execution itself, not its outputs: from the
+// report's spans it asserts that every source task of the schedule ran
+// exactly once, that no symbolic rank ran two tasks at once, that every
+// task started after all its core.PrecedenceOf predecessors ended and —
+// for a layered run — that no task of a layer started before every task
+// of the layers before it ended. All spans must stem from sched: a run
+// that replanned is checked one schedule at a time with checkSpans.
+func checkExecution(t *testing.T, sched *core.Schedule, rep *Report, layered bool) {
+	t.Helper()
+	checkSpans(t, sched, 0, len(sched.Layers), rep.Spans, layered)
+}
+
+// checkSpans is checkExecution for the layers [from, to) of sched, whose
+// successful attempts are exactly spans.
+func checkSpans(t *testing.T, sched *core.Schedule, from, to int, spans []TaskSpan, layered bool) {
+	t.Helper()
+	prec, err := core.PrecedenceOf(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := make(map[string]TaskSpan, len(spans))
+	for _, s := range spans {
+		if _, dup := byName[s.Name]; dup {
+			t.Fatalf("task %q has two successful spans", s.Name)
+		}
+		byName[s.Name] = s
+	}
+
+	// Per scheduled task, the window its source tasks ran in; a contracted
+	// chain runs its members back to back on one interval.
+	type window struct{ start, end time.Duration }
+	win := make(map[graph.TaskID]window, len(prec.Scheduled))
+	perRank := make([][]TaskSpan, sched.P)
+	layerStart := make([]time.Duration, len(sched.Layers))
+	layerEnd := make([]time.Duration, len(sched.Layers))
+	for li := range layerStart {
+		layerStart[li] = time.Duration(1<<63 - 1)
+	}
+	seen := 0
+	for _, id := range prec.Scheduled {
+		td := prec.Tasks[id]
+		if td.Layer < from || td.Layer >= to {
+			continue
+		}
+		var wd window
+		for i, src := range sched.SourceTasks(id) {
+			name := sched.Source.Task(src).Name
+			s, ok := byName[name]
+			if !ok {
+				t.Fatalf("task %q (layer %d group %d) has no span", name, td.Layer, td.Group)
+			}
+			seen++
+			if s.Layer != td.Layer || s.Group != int(td.Group) || s.Cores != td.Hi-td.Lo {
+				t.Fatalf("task %q ran as layer %d group %d on %d cores, scheduled as layer %d group %d on %d",
+					name, s.Layer, s.Group, s.Cores, td.Layer, td.Group, td.Hi-td.Lo)
+			}
+			if i == 0 {
+				wd.start = s.Start
+			} else if s.Start < wd.end {
+				t.Fatalf("chain member %q started at %v, before its predecessor in the chain ended (%v)", name, s.Start, wd.end)
+			}
+			wd.end = s.End
+			for r := td.Lo; r < td.Hi; r++ {
+				perRank[r] = append(perRank[r], s)
+			}
+		}
+		win[id] = wd
+		if wd.start < layerStart[td.Layer] {
+			layerStart[td.Layer] = wd.start
+		}
+		if wd.end > layerEnd[td.Layer] {
+			layerEnd[td.Layer] = wd.end
+		}
+	}
+	if seen != len(spans) {
+		t.Fatalf("%d spans, but layers [%d, %d) of the schedule have %d source tasks", len(spans), from, to, seen)
+	}
+
+	for r, rs := range perRank {
+		sort.Slice(rs, func(i, j int) bool {
+			return rs[i].Start < rs[j].Start || rs[i].Start == rs[j].Start && rs[i].End < rs[j].End
+		})
+		for i := 1; i < len(rs); i++ {
+			if rs[i].Start < rs[i-1].End {
+				t.Fatalf("rank %d runs %q (from %v) and %q (until %v) at once",
+					r, rs[i].Name, rs[i].Start, rs[i-1].Name, rs[i-1].End)
+			}
+		}
+	}
+	for id, wd := range win {
+		for _, dep := range prec.Tasks[id].Deps {
+			if dw, ok := win[dep]; ok && wd.start < dw.end {
+				t.Fatalf("task %d started at %v, before its predecessor %d ended (%v)", id, wd.start, dep, dw.end)
+			}
+		}
+	}
+	if layered {
+		var barrier time.Duration // when the last layer before li ended
+		for li := from; li < to; li++ {
+			if layerStart[li] < barrier {
+				t.Fatalf("layer %d started at %v, before the layers ahead of it ended (%v)", li, layerStart[li], barrier)
+			}
+			if layerEnd[li] > barrier {
+				barrier = layerEnd[li]
+			}
+		}
+	}
+}

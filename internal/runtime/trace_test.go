@@ -70,6 +70,14 @@ func TestExecuteCtxTrace(t *testing.T) {
 	if rec.Drops() != 0 {
 		t.Errorf("trace dropped %d events", rec.Drops())
 	}
+	// Layered runs report the dispatch metrics too: every task is launched
+	// by its leader's own chain step (a one-layer pass never parks a
+	// leader), and the launch backlog peaks at the two tasks of a layer.
+	m := rec.Metrics()
+	if m["exec.wf.chain_launches"] != 2*layers || m["exec.wf.peak_ready"] != 2 {
+		t.Errorf("exec.wf.chain_launches = %d, exec.wf.peak_ready = %d; want %d and 2",
+			m["exec.wf.chain_launches"], m["exec.wf.peak_ready"], 2*layers)
+	}
 	if out := rec.Gantt(40); !strings.Contains(out, "slow[0]@") || !strings.Contains(out, "#") {
 		t.Errorf("gantt missing task rows:\n%s", out)
 	}

@@ -1,35 +1,27 @@
 package runtime
 
-import (
-	"context"
-	"errors"
-	"fmt"
-	"math/bits"
-
-	"mtask/internal/core"
-	"mtask/internal/graph"
-	"mtask/internal/obs"
-)
+import "errors"
 
 // WithWavefront switches ExecuteCtx / ExecuteHierarchicalCtx from
 // layer-synchronous execution to dependence-driven (wavefront) execution.
 //
-// The layered executor joins every group of a layer before any task of the
-// next layer may start, so one slow group idles all P cores even when
-// successor tasks' inputs are complete and their ranks are free. The layer
-// barrier is a scheduling artifact, not a data dependence: the wavefront
-// dispatcher launches a task as soon as (a) all of its predecessors in the
-// scheduled graph have completed and (b) every symbolic rank of its
+// Both modes run the same dispatcher; they differ in the width of its
+// passes. Layered execution runs one pass per layer, so every group of a
+// layer is joined before any task of the next layer may start and one
+// slow group idles all P cores even when successor tasks' inputs are
+// complete and their ranks are free. The layer barrier is a scheduling
+// artifact, not a data dependence: wavefront execution runs all layers in
+// one pass, launching a task as soon as (a) all of its predecessors in
+// the scheduled graph have completed and (b) every symbolic rank of its
 // group's interval has been released by its prior-layer occupant (the
 // precomputed core.PrecedenceOf metadata encodes both conditions as one
-// counter per task). Results are bitwise identical to the layered
-// executor: the same task bodies run on the same group intervals with the
-// same group collectives; only the launch times change.
+// counter per task). Results are bitwise identical: the same task bodies
+// run on the same group intervals with the same group collectives; only
+// the launch times change.
 //
-// Per-task fault handling is unchanged — retries with backoff, panic
-// isolation, per-attempt timeouts and abort poisoning all run through the
-// same attempt loop as the layered mode. Two differences follow from the
-// missing layer scope:
+// Per-task fault handling is the same — retries with backoff, panic
+// isolation, per-attempt timeouts and abort poisoning. Two differences
+// follow from the missing layer scope:
 //
 //   - TaskCtx.Global is rejected: without a global layer join there is no
 //     epoch at which all P cores are in the same layer, so any global
@@ -50,146 +42,5 @@ func WithWavefront() ExecOption {
 }
 
 // ErrGlobalInWavefront is matched (via errors.Is) by the failure of any
-// task body that touches TaskCtx.Global under the wavefront dispatcher.
+// task body that touches TaskCtx.Global in wavefront mode.
 var ErrGlobalInWavefront = errors.New("runtime: TaskCtx.Global is not available in wavefront mode (no layer-synchronous epoch); use WithWavefront only with group-collective bodies")
-
-// runWavefrontPass executes every layer from `from` on with the
-// dependence-driven dispatcher: one coordinator goroutine per launched
-// task, a completion event decrements the dependence counters of the
-// task's successors, and a task whose counter reaches zero launches
-// immediately — no global layer join. Per-rank occupancy chains guarantee
-// at most one in-flight task per symbolic rank, so at most P rank
-// goroutines run at any moment, as in the layered mode.
-//
-// The returned `done` is the completed-layer prefix (every task of layers
-// [0, done) has completed): the checkpoint a degrade-and-replan resumes
-// from. On failure the dispatcher stops launching, drains the in-flight
-// frontier (completions during the drain still advance the checkpoint),
-// and reports the distinct symbolic cores of retry-exhausted groups as
-// failedCores.
-func runWavefrontPass(ctx context.Context, w *World, sched *core.Schedule, from int,
-	body func(t *graph.Task) TaskFunc, cfg *execConfig, rep *Report) (done int, err error, failedCores int) {
-
-	prec, perr := core.PrecedenceOf(sched)
-	if perr != nil {
-		return from, fmt.Errorf("runtime: wavefront: %w", perr), 0
-	}
-
-	// The global communicator is born poisoned: the first collective on it
-	// panics with an *AbortError whose cause is ErrGlobalInWavefront, which
-	// the attempt loop converts into a fail-fast typed error. Stats are nil
-	// so the doomed call is not counted as a real collective.
-	global := newLazyGlobal(Global, identityRanks(sched.P), nil, nil)
-	global.abort(ErrGlobalInWavefront)
-
-	type result struct {
-		id        graph.TaskID
-		err       error
-		exhausted bool
-	}
-	results := make(chan result)
-
-	// Seed the dependence counters. Layers before `from` are the completed
-	// checkpoint of a previous pass (or replan): their tasks do not run
-	// again and their outgoing dependences count as satisfied.
-	remaining := make([]int, len(prec.Tasks))
-	layerLeft := make([]int, len(sched.Layers))
-	var ready []graph.TaskID
-	for _, id := range prec.Scheduled {
-		td := prec.Tasks[id]
-		if td.Layer < from {
-			continue
-		}
-		layerLeft[td.Layer]++
-		n := 0
-		for _, d := range td.Deps {
-			if prec.Tasks[d].Layer >= from {
-				n++
-			}
-		}
-		remaining[id] = n
-		if n == 0 {
-			ready = append(ready, id)
-		}
-	}
-
-	launch := func(id graph.TaskID) {
-		td := prec.Tasks[id]
-		go func() {
-			e, ex := runScheduledTask(ctx, w, sched, td.Layer, td.Group, td.Lo, td.Hi, id, global, body, cfg, rep, nil)
-			results <- result{id: id, err: e, exhausted: ex}
-		}()
-	}
-
-	done = from
-	for done < len(layerLeft) && layerLeft[done] == 0 {
-		rep.layerDone()
-		cfg.rec.Instant("layer-done", "exec", obs.ControlRank, cfg.rec.Now())
-		done++
-	}
-
-	var errs []error
-	lostRanks := make([]uint64, (sched.P+63)/64) // bitset: no per-failure map
-	failing := false
-	inflight := 0
-	for {
-		if !failing {
-			for _, id := range ready {
-				launch(id)
-				inflight++
-			}
-		}
-		ready = ready[:0]
-		if inflight == 0 {
-			break
-		}
-		r := <-results
-		inflight--
-		td := prec.Tasks[r.id]
-		if r.err != nil {
-			failing = true
-			errs = append(errs, fmt.Errorf("layer %d group %d: %w", td.Layer, td.Group, r.err))
-			if r.exhausted {
-				// The union of exhausted groups' rank intervals: concurrent
-				// failures in different layers may claim overlapping ranks,
-				// and a symbolic core is only lost once.
-				for rank := td.Lo; rank < td.Hi; rank++ {
-					lostRanks[rank>>6] |= 1 << (uint(rank) & 63)
-				}
-			}
-			continue
-		}
-		layerLeft[td.Layer]--
-		for done < len(layerLeft) && layerLeft[done] == 0 {
-			rep.layerDone()
-			cfg.rec.Instant("layer-done", "exec", obs.ControlRank, cfg.rec.Now())
-			done++
-		}
-		for _, su := range td.Succs {
-			remaining[su]--
-			if remaining[su] == 0 {
-				ready = append(ready, su)
-			}
-		}
-	}
-
-	if len(errs) == 0 && done != len(sched.Layers) {
-		// Cannot happen for a valid schedule (PrecedenceOf proves the
-		// dependences acyclic), but a stall must be an error, not a silent
-		// partial result. Naming the first blocked task makes it
-		// diagnosable.
-		for _, id := range prec.Scheduled {
-			td := prec.Tasks[id]
-			if td.Layer >= from && remaining[id] > 0 {
-				return done, fmt.Errorf("runtime: wavefront stalled after layer %d of %d at task %d (layer %d group %d, %d dependences outstanding) (internal error)",
-					done, len(sched.Layers), id, td.Layer, td.Group, remaining[id]), 0
-			}
-		}
-		return done, fmt.Errorf("runtime: wavefront stalled after layer %d of %d (internal error)", done, len(sched.Layers)), 0
-	}
-	failedCores = 0
-	for _, word := range lostRanks {
-		failedCores += bits.OnesCount64(word)
-	}
-	return done, errors.Join(errs...), failedCores
-}

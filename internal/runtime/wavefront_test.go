@@ -89,12 +89,25 @@ func runRecorded(t *testing.T, sched *core.Schedule, P int, opts ...ExecOption) 
 	if err != nil {
 		t.Fatalf("execution failed: %v\n%s", err, rep)
 	}
+	return recordings(&out), rep
+}
+
+// referenceRecorded is runRecorded on the sequential reference
+// interpreter.
+func referenceRecorded(t *testing.T, sched *core.Schedule, opts ...ExecOption) (map[string]float64, *Report) {
+	t.Helper()
+	var out sync.Map
+	rep := runSequential(t, sched, 0, len(sched.Layers), recordingBody(&out), opts...)
+	return recordings(&out), rep
+}
+
+func recordings(out *sync.Map) map[string]float64 {
 	m := make(map[string]float64)
 	out.Range(func(k, v any) bool {
 		m[k.(string)] = v.(float64)
 		return true
 	})
-	return m, rep
+	return m
 }
 
 // compareBitwise fails unless the two recordings cover the same tasks with
@@ -116,10 +129,10 @@ func compareBitwise(t *testing.T, want, got map[string]float64) {
 }
 
 func TestPropertyWavefrontMatchesLayered(t *testing.T) {
-	// The equivalence property of the wavefront dispatcher: on the same
+	// The equivalence property of the two pass widths: on the same
 	// schedule, dependence-driven launch must produce bitwise identical
-	// results to the layer-synchronous executor, for random DAGs and
-	// varying core counts.
+	// results to layer-synchronous execution, and both to the legacy
+	// communicator-split Execute, for random DAGs and varying core counts.
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 12; trial++ {
 		g := randomExecDAG(rng)
@@ -128,6 +141,8 @@ func TestPropertyWavefrontMatchesLayered(t *testing.T) {
 		layered, lrep := runRecorded(t, sched, P)
 		wave, wrep := runRecorded(t, sched, P, WithWavefront())
 		compareBitwise(t, layered, wave)
+		checkExecution(t, sched, lrep, true)
+		checkExecution(t, sched, wrep, false)
 		if lrep.Layers != len(sched.Layers) || wrep.Layers != len(sched.Layers) {
 			t.Fatalf("trial %d: layers done = %d (layered) / %d (wavefront), want %d",
 				trial, lrep.Layers, wrep.Layers, len(sched.Layers))
@@ -135,6 +150,12 @@ func TestPropertyWavefrontMatchesLayered(t *testing.T) {
 		if len(wrep.Spans) != len(lrep.Spans) {
 			t.Fatalf("trial %d: %d wavefront spans, %d layered", trial, len(wrep.Spans), len(lrep.Spans))
 		}
+		w, _ := NewWorld(P)
+		var out sync.Map
+		if err := Execute(w, sched, recordingBody(&out)); err != nil {
+			t.Fatalf("trial %d: legacy Execute failed: %v", trial, err)
+		}
+		compareBitwise(t, recordings(&out), layered)
 	}
 }
 
@@ -150,9 +171,11 @@ func TestPropertyWavefrontFaultsMatchLayered(t *testing.T) {
 		g := randomExecDAG(rng)
 		sched := randomExecSchedule(t, g, 8)
 		inj := &fault.Injector{Seed: int64(trial + 1), PError: 0.08, PPanic: 0.04, PDelay: 0.05, Delay: 100 * time.Microsecond}
-		layered, _ := runRecorded(t, sched, 8, WithPolicy(pol), WithInjector(inj))
+		layered, lrep := runRecorded(t, sched, 8, WithPolicy(pol), WithInjector(inj))
 		wave, wrep := runRecorded(t, sched, 8, WithPolicy(pol), WithInjector(inj), WithWavefront())
 		compareBitwise(t, layered, wave)
+		checkExecution(t, sched, lrep, true)
+		checkExecution(t, sched, wrep, false)
 		if wrep.Layers != len(sched.Layers) {
 			t.Fatalf("trial %d: wavefront completed %d of %d layers", trial, wrep.Layers, len(sched.Layers))
 		}
@@ -162,8 +185,8 @@ func TestPropertyWavefrontFaultsMatchLayered(t *testing.T) {
 func TestWavefrontCrossLayerOverlap(t *testing.T) {
 	// The defining behavior of the wavefront mode, deterministically: a
 	// layer-0 task blocks until a layer-1 task on the other chain has
-	// started. The layered executor cannot finish this program (no layer-1
-	// task starts before the layer-0 join); the wavefront dispatcher must.
+	// started. Layered execution cannot finish this program (no layer-1
+	// task starts before the layer-0 join); wavefront execution must.
 	sched := ImbalancedWorkload(2, 2)
 	release := make(chan struct{})
 	body := func(t *graph.Task) TaskFunc {
@@ -307,7 +330,7 @@ func TestWavefrontImbalancedFasterWithTimeline(t *testing.T) {
 		t.Fatalf("wavefront layer 1 first start %v not before layer 0 last end %v", got, lastEnd(wrep.Timeline(), 0))
 	}
 	if got := firstStart(lrep.Timeline(), 1); got < lastEnd(lrep.Timeline(), 0) {
-		t.Fatalf("layered executor overlapped layers: layer 1 started %v, layer 0 ended %v", got, lastEnd(lrep.Timeline(), 0))
+		t.Fatalf("layered execution overlapped layers: layer 1 started %v, layer 0 ended %v", got, lastEnd(lrep.Timeline(), 0))
 	}
 
 	// The idle-core-time summary must attribute more utilization to the

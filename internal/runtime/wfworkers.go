@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -13,29 +14,22 @@ import (
 	"mtask/internal/obs"
 )
 
-// WithChannelDispatcher selects the original channel-based wavefront
-// dispatcher (one goroutine per launched task, completions funneled
-// through a coordinator loop) instead of the persistent-worker
-// dispatcher. The channel dispatcher is kept as the reference
-// implementation: it is simpler to reason about, and the differential
-// property tests run every workload through both and require
-// bitwise-identical results. Production runs should not need this
-// option.
-func WithChannelDispatcher() ExecOption {
-	return func(c *execConfig) { c.wfChannel = true }
-}
-
-// Task lifecycle states of the persistent-worker dispatcher.
+// Task lifecycle states of the dispatcher.
 const (
 	wfPending uint32 = iota // not yet complete
 	wfDone                  // completed successfully
 	wfSkipped               // failed, or never launched because of the failure drain
 )
 
-// wfDispatcher is the shared state of one persistent-worker wavefront
-// pass: P rank workers walk their precomputed occupancy chains and
-// coordinate through atomic dependence counters — there is no central
-// coordinator and no channel on the completion hot path.
+// wfDispatcher executes one schedule: P rank workers walk their
+// precomputed occupancy chains and coordinate through atomic dependence
+// counters — there is no central coordinator and no channel on the
+// completion hot path. It is built once per schedule (again after a
+// replan or resize) and run in passes over a layer range [done, to):
+// layered execution is one pass per layer (joining the workers is the
+// layer barrier), wavefront execution one pass over every remaining
+// layer. Counters, task states and the workers' chain cursors persist
+// between passes, so a pass costs O(tasks in its range + P).
 //
 // Ownership of the counters is what makes the lock-free scheme sound:
 //
@@ -58,27 +52,39 @@ const (
 // first and then deposits a token (non-blocking), every consumer
 // re-checks the condition before each receive, so a coalesced or stale
 // token is harmless and a wake is never lost.
+//
+// Attempts run on the workers themselves and cannot be abandoned, so
+// without a deadline caller cancellation is observed between attempts and
+// by bodies that honor their TaskCtx.Ctx (a body that does fails the
+// attempt, which aborts the group communicator and releases any peers
+// blocked in collectives); a body that ignores it runs to completion
+// first. When the policy sets a deadline the spawned-attempt fallback
+// (runAttempt) enforces it with a watchdog and abandons hung bodies.
 type wfDispatcher struct {
-	w      *World
-	sched  *core.Schedule
-	prec   *core.Precedence
-	cfg    *execConfig
-	rep    *Report
-	body   func(t *graph.Task) TaskFunc
-	ctx    context.Context
-	global *lazyGlobal
+	w     *World
+	sched *core.Schedule
+	prec  *core.Precedence
+	cfg   *execConfig
+	rep   *Report
+	body  func(t *graph.Task) TaskFunc
 
 	// identity is the 0..P-1 rank slab; group communicators of interval
 	// [lo, hi) use identity[lo:hi] directly, so attempts never allocate a
 	// rank slice.
 	identity []int
-	from     int
 
 	// spawn selects the spawned-attempt fallback: when the policy sets a
-	// per-attempt TaskTimeout, attempts must be abandonable, which a
-	// persistent worker is not — leaders run the reference runAttempt
+	// deadline that applies to this execution, attempts must be
+	// abandonable, which a rank worker is not — leaders run runAttempt
 	// (fresh goroutines + watchdog) and followers stay out of the way.
 	spawn bool
+
+	// The current pass: its context, its global communicator and the end
+	// of its layer range.
+	ctx    context.Context
+	global *lazyGlobal
+	to     int
+	wg     sync.WaitGroup
 
 	remaining []atomic.Int32  // per task: outstanding dependences
 	state     []atomic.Uint32 // per task: wfPending / wfDone / wfSkipped
@@ -89,23 +95,32 @@ type wfDispatcher struct {
 
 	failing atomic.Bool
 	errMu   sync.Mutex
-	errs    []error
+	errs    []wfTaskError
 	lost    []uint64 // bitset of symbolic ranks owned by exhausted groups
 
 	workers []wfWorker
 
 	// ready/peakReady gauge the launch backlog: tasks whose dependences
-	// have drained but whose leader has not started them yet.
+	// have drained but whose leader has not started them yet (under
+	// layered execution that includes next-layer tasks held back by the
+	// barrier).
 	ready     atomic.Int64
 	peakReady atomic.Int64
 }
 
-// wfWorker is the persistent worker of one symbolic rank. Exactly one
-// goroutine runs wfWorker.run; the publication fields are read by
-// follower workers with the seq atomic as the synchronization edge.
+// wfTaskError is the terminal failure of one scheduled task.
+type wfTaskError struct {
+	td  *core.TaskDeps
+	err error
+}
+
+// wfWorker is the worker of one symbolic rank. At most one goroutine runs
+// wfWorker.run at a time (one per pass); the publication fields are read
+// by follower workers with the seq atomic as the synchronization edge.
 type wfWorker struct {
 	d    *wfDispatcher
 	rank int
+	next int           // cursor into the rank's occupancy chain
 	wake chan struct{} // capacity 1; token = "re-check your condition"
 
 	// lastSeq[r] is the last attempt sequence number of leader rank r
@@ -142,42 +157,21 @@ type wfWorker struct {
 	chainLaunches int64 // leader tasks started without parking
 }
 
-// runWavefrontWorkersPass executes every layer from `from` on with the
-// persistent-worker dispatcher. Results, retries, panic isolation, abort
-// poisoning, the failure drain and the completed-layer-prefix checkpoint
-// are semantically identical to runWavefrontPass (the channel reference
-// dispatcher); only the dispatch mechanics differ — P persistent workers
-// instead of a goroutine per task, atomic counter decrements instead of
-// a serialized coordinator.
-//
-// One documented divergence: without a TaskTimeout, attempts run on the
-// persistent workers themselves and cannot be abandoned, so caller
-// cancellation is observed between attempts — an in-flight body that
-// ignores its TaskCtx.Ctx runs to completion first (a body that honors
-// the ctx fails the attempt, which aborts the group communicator and
-// releases any peers blocked in collectives). With a TaskTimeout the
-// spawned-attempt fallback keeps the reference watchdog-and-abandon
-// semantics exactly.
-func runWavefrontWorkersPass(ctx context.Context, w *World, sched *core.Schedule, from int,
-	body func(t *graph.Task) TaskFunc, cfg *execConfig, rep *Report) (done int, err error, failedCores int) {
+// newDispatcher builds the dispatcher of sched resuming at layer from:
+// the layers before it are a completed checkpoint, so their tasks do not
+// run again and their outgoing dependences count as satisfied.
+func newDispatcher(w *World, sched *core.Schedule, from int, body func(t *graph.Task) TaskFunc,
+	cfg *execConfig, rep *Report) (*wfDispatcher, error) {
 
-	prec, perr := core.PrecedenceOf(sched)
-	if perr != nil {
-		return from, fmt.Errorf("runtime: wavefront: %w", perr), 0
+	prec, err := core.PrecedenceOf(sched)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
 	}
-
-	identity := identityRanks(sched.P)
-	// Born poisoned, as in the channel dispatcher: the first global
-	// collective fails fast with ErrGlobalInWavefront.
-	global := newLazyGlobal(Global, identity, nil, nil)
-	global.abort(ErrGlobalInWavefront)
-
+	pol := cfg.policy
 	d := &wfDispatcher{
-		w: w, sched: sched, prec: prec, cfg: cfg, rep: rep, body: body, ctx: ctx,
-		global:    global,
-		identity:  identity,
-		from:      from,
-		spawn:     cfg.policy.TaskTimeout > 0,
+		w: w, sched: sched, prec: prec, cfg: cfg, rep: rep, body: body,
+		identity:  identityRanks(sched.P),
+		spawn:     pol.TaskTimeout > 0 || !cfg.wavefront && pol.LayerTimeout > 0,
 		remaining: make([]atomic.Int32, len(prec.Tasks)),
 		state:     make([]atomic.Uint32, len(prec.Tasks)),
 		layerLeft: make([]atomic.Int32, len(sched.Layers)),
@@ -185,16 +179,14 @@ func runWavefrontWorkersPass(ctx context.Context, w *World, sched *core.Schedule
 		workers:   make([]wfWorker, sched.P),
 		done:      from,
 	}
-
-	// Seed the dependence counters. Layers before `from` are the completed
-	// checkpoint of a previous pass (or replan): their tasks do not run
-	// again and their outgoing dependences count as satisfied.
+	for li := from; li < len(sched.Layers); li++ {
+		d.layerLeft[li].Store(int32(prec.LayerCounts[li]))
+	}
 	for _, id := range prec.Scheduled {
 		td := prec.Tasks[id]
 		if td.Layer < from {
 			continue
 		}
-		d.layerLeft[td.Layer].Add(1)
 		n := 0
 		for _, dep := range td.Deps {
 			if prec.Tasks[dep].Layer >= from {
@@ -206,7 +198,6 @@ func runWavefrontWorkersPass(ctx context.Context, w *World, sched *core.Schedule
 			d.noteReady()
 		}
 	}
-	d.advance() // layers with no tasks complete immediately
 
 	errSlab := make([]error, sched.P*prec.MaxGroup)
 	seqSlab := make([]uint64, sched.P*sched.P)
@@ -216,62 +207,93 @@ func runWavefrontWorkersPass(ctx context.Context, w *World, sched *core.Schedule
 		wk.rank = r
 		wk.wake = make(chan struct{}, 1)
 		wk.curTask.Store(-1)
-		if prec.MaxGroup > 0 {
-			wk.errs = errSlab[r*prec.MaxGroup : (r+1)*prec.MaxGroup]
-		}
+		wk.errs = errSlab[r*prec.MaxGroup : (r+1)*prec.MaxGroup]
 		wk.lastSeq = seqSlab[r*sched.P : (r+1)*sched.P]
-	}
-
-	var wg sync.WaitGroup
-	for r := range d.workers {
-		wg.Add(1)
-		go func(wk *wfWorker) {
-			defer wg.Done()
-			wk.run()
-		}(&d.workers[r])
-	}
-	wg.Wait()
-
-	if cfg.rec != nil {
-		var wakeups, chainLaunches int64
-		for r := range d.workers {
-			wakeups += d.workers[r].wakeups
-			chainLaunches += d.workers[r].chainLaunches
+		for chain := prec.Chains[r]; wk.next < len(chain) && prec.Tasks[chain[wk.next]].Layer < from; {
+			wk.next++
 		}
-		cfg.rec.Counter("exec.wf.wakeups").Add(wakeups)
-		cfg.rec.Counter("exec.wf.chain_launches").Add(chainLaunches)
-		cfg.rec.Counter("exec.wf.peak_ready").Add(d.peakReady.Load())
 	}
+	return d, nil
+}
 
+// pass runs the layers [done, to) under ctx and returns the new
+// completed-layer prefix — the checkpoint a degrade-and-replan resumes
+// from — with the joined task failures and the number of distinct
+// symbolic cores owned by groups that exhausted their retries.
+//
+// A wavefront pass stops launching on the first failure and drains the
+// in-flight frontier (completions during the drain still advance the
+// checkpoint); its global communicator is born poisoned, so the first
+// global collective fails fast with ErrGlobalInWavefront. A layered pass
+// lets every group run to its own end, so its fault accounting does not
+// depend on timing; it is bounded by the policy's LayerTimeout and gets a
+// fresh global communicator that is aborted when the pass ends, so
+// stragglers of abandoned attempts blocked in a global collective are
+// released.
+func (d *wfDispatcher) pass(ctx context.Context, to int) (done int, err error, failedCores int) {
+	if d.cfg.wavefront {
+		d.global = newLazyGlobal(Global, d.identity, nil, nil)
+		d.global.abort(ErrGlobalInWavefront)
+	} else {
+		d.global = newLazyGlobal(Global, d.identity, &d.w.Stats, d.cfg.rec)
+		defer d.global.abort(errLayerDone)
+		if lt := d.cfg.policy.LayerTimeout; lt > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, lt)
+			defer cancel()
+		}
+	}
+	d.ctx, d.to = ctx, to
+	d.advance() // layers with no tasks complete immediately
+
+	d.wg.Add(len(d.workers))
+	for r := range d.workers {
+		go d.workers[r].run()
+	}
+	d.wg.Wait()
+
+	if len(d.errs) == 0 {
+		if d.done != to {
+			// Cannot happen for a valid schedule (PrecedenceOf proves the
+			// dependences acyclic), but a stall must be an error, not a
+			// silent partial result.
+			return d.done, d.stallError(), 0
+		}
+		return d.done, nil, 0
+	}
+	// Schedule order, not failure order: the joined error of a layered
+	// pass is deterministic.
+	sort.Slice(d.errs, func(i, j int) bool {
+		a, b := d.errs[i].td, d.errs[j].td
+		return a.Layer < b.Layer || a.Layer == b.Layer && a.Group < b.Group
+	})
+	joined := make([]error, len(d.errs))
+	for i, e := range d.errs {
+		joined[i] = fmt.Errorf("layer %d group %d: %w", e.td.Layer, e.td.Group, e.err)
+	}
 	for _, word := range d.lost {
 		failedCores += bits.OnesCount64(word)
 	}
-	done = d.done // workers joined: no lock needed
-	if len(d.errs) == 0 && done != len(sched.Layers) {
-		// Cannot happen for a valid schedule (PrecedenceOf proves the
-		// dependences acyclic), but a stall must be an error, not a silent
-		// partial result.
-		return done, d.stallError(done), 0
-	}
-	return done, errors.Join(d.errs...), failedCores
+	return d.done, errors.Join(joined...), failedCores
 }
 
-// run walks the worker's occupancy chain: lead the tasks whose interval
-// starts at this rank, follow the rest. On a failure drain the worker
-// marks its remaining leader entries skipped (waking their followers) and
-// exits; the frontier of in-flight attempts drains through their own
-// leaders exactly as in the channel dispatcher.
+// run walks the worker's occupancy chain through the pass's layer range:
+// lead the tasks whose interval starts at this rank, follow the rest. When
+// a led task fails (or the failure drain began) the worker marks its
+// remaining leader entries of the pass skipped, waking their followers,
+// and exits; in-flight attempts drain through their own leaders.
 func (wk *wfWorker) run() {
 	d := wk.d
+	defer d.wg.Done()
 	chain := d.prec.Chains[wk.rank]
-	for i, id := range chain {
-		td := d.prec.Tasks[id]
-		if td.Layer < d.from {
-			continue
+	for ; wk.next < len(chain); wk.next++ {
+		td := d.prec.Tasks[chain[wk.next]]
+		if td.Layer >= d.to {
+			return
 		}
 		if td.Lo == wk.rank {
 			if !wk.lead(td) {
-				wk.drainChain(chain[i:])
+				wk.drainChain(chain[wk.next:])
 				return
 			}
 		} else if !d.spawn {
@@ -284,9 +306,9 @@ func (wk *wfWorker) run() {
 }
 
 // lead waits for the task's dependence counter to drain, then runs it
-// with the full retry loop. It returns false when the dispatcher entered
-// the failure drain (whether by this task's failure or another's) and
-// the worker must stop launching.
+// with the full retry loop. It returns false when the task failed or the
+// dispatcher entered the failure drain, and the worker must stop
+// launching.
 func (wk *wfWorker) lead(td *core.TaskDeps) bool {
 	d := wk.d
 	parked := false
@@ -313,8 +335,7 @@ func (wk *wfWorker) lead(td *core.TaskDeps) bool {
 	// curTask is NOT set here: it is published per attempt inside
 	// coopAttempt, strictly after the attempt's fields and seq, so
 	// followers can never observe the task id before its publication.
-	err, exhausted := runScheduledTask(d.ctx, d.w, d.sched, td.Layer, td.Group, td.Lo, td.Hi,
-		td.ID, d.global, d.body, d.cfg, d.rep, coop)
+	err, exhausted := runScheduledTask(d.ctx, d.w, d.sched, td, d.global, d.body, d.cfg, d.rep, coop)
 	if err != nil {
 		d.fail(td, err, exhausted)
 		return false
@@ -377,14 +398,15 @@ func (wk *wfWorker) runFollower(ld *wfWorker, td *core.TaskDeps, r int) {
 }
 
 // coopAttempt runs one attempt of one source task cooperatively on the
-// persistent workers of the group's interval: the leader builds a fresh
-// pooled group communicator over identity[lo:hi], publishes the attempt
-// to its followers, runs its own rank-0 share, waits for the followers
-// and settles — the exact runAttempt semantics minus the per-attempt
-// goroutines and watchdog (see runWavefrontWorkersPass for the
-// cancellation caveat that buys).
-func (wk *wfWorker) coopAttempt(t *graph.Task, fn TaskFunc, attempt, li int, gi core.GroupID, id graph.TaskID, lo, hi int) error {
+// workers of the group's interval: the leader builds a fresh pooled group
+// communicator over identity[lo:hi], publishes the attempt to its
+// followers, runs its own rank-0 share, waits for the followers and
+// settles — the exact runAttempt semantics minus the per-attempt
+// goroutines and watchdog (see wfDispatcher for the cancellation caveat
+// that buys).
+func (wk *wfWorker) coopAttempt(t *graph.Task, fn TaskFunc, attempt int, td *core.TaskDeps) error {
 	d := wk.d
+	lo, hi := td.Lo, td.Hi
 	size := hi - lo
 	gsh := newCommShared(Group, d.identity[lo:hi], &d.w.Stats, d.cfg.rec)
 
@@ -403,7 +425,7 @@ func (wk *wfWorker) coopAttempt(t *graph.Task, fn TaskFunc, attempt, li int, gi 
 		// task's fields — a released communicator, the wrong body, and a
 		// spurious pending decrement. Storing curTask after seq closes
 		// that window: curTask == id implies the publication is complete.
-		wk.curTask.Store(int64(id))
+		wk.curTask.Store(int64(td.ID))
 		for r := lo + 1; r < hi; r++ {
 			d.wakeWorker(r)
 		}
@@ -415,8 +437,8 @@ func (wk *wfWorker) coopAttempt(t *graph.Task, fn TaskFunc, attempt, li int, gi 
 		Group:      &wk.group,
 		Global:     &wk.global,
 		Task:       t,
-		Layer:      li,
-		GroupIndex: int(gi),
+		Layer:      td.Layer,
+		GroupIndex: int(td.Group),
 		Ctx:        d.ctx,
 	}
 	wk.errs[0] = runRankAttempt(&wk.tc, fn, attempt, gsh, d.cfg)
@@ -432,7 +454,7 @@ func (wk *wfWorker) coopAttempt(t *graph.Task, fn TaskFunc, attempt, li int, gi 
 		// drain and this store matches lastSeq and parks harmlessly).
 		wk.curTask.Store(-1)
 	}
-	err := settleAttempt(t, d.rep, wk.errs[:size], d.ctx)
+	err := settleAttempt(t, d.rep, wk.errs[:size])
 	gsh.release() // attempt settled: no rank holds the comm anymore
 	return err
 }
@@ -462,11 +484,11 @@ func (d *wfDispatcher) complete(td *core.TaskDeps) {
 	}
 }
 
-// advance moves the completed-layer prefix over every drained layer,
-// recording the checkpoint exactly like the channel dispatcher.
+// advance moves the completed-layer prefix over every drained layer of
+// the pass, recording each checkpoint.
 func (d *wfDispatcher) advance() {
 	d.doneMu.Lock()
-	for d.done < len(d.layerLeft) && d.layerLeft[d.done].Load() == 0 {
+	for d.done < d.to && d.layerLeft[d.done].Load() == 0 {
 		d.rep.layerDone()
 		d.cfg.rec.Instant("layer-done", "exec", obs.ControlRank, d.cfg.rec.Now())
 		d.done++
@@ -475,11 +497,13 @@ func (d *wfDispatcher) advance() {
 }
 
 // fail records a terminal task failure, marks the lost ranks of an
-// exhausted group in the bitset, enters the failure drain and wakes every
-// worker so parked leaders stop launching and parked followers drain.
+// exhausted group in the bitset and wakes every worker so parked
+// followers move on. A wavefront pass also enters the failure drain:
+// parked leaders stop launching. A layered pass does not — its groups
+// share no dependences, and each runs to its own end.
 func (d *wfDispatcher) fail(td *core.TaskDeps, err error, exhausted bool) {
 	d.errMu.Lock()
-	d.errs = append(d.errs, fmt.Errorf("layer %d group %d: %w", td.Layer, td.Group, err))
+	d.errs = append(d.errs, wfTaskError{td, err})
 	if exhausted {
 		// The union of exhausted groups' rank intervals: concurrent
 		// failures in different layers may claim overlapping ranks, and a
@@ -490,18 +514,23 @@ func (d *wfDispatcher) fail(td *core.TaskDeps, err error, exhausted bool) {
 	}
 	d.errMu.Unlock()
 	d.state[td.ID].Store(wfSkipped)
-	d.failing.Store(true)
+	if d.cfg.wavefront {
+		d.failing.Store(true)
+	}
 	d.wakeAll()
 }
 
-// drainChain marks the worker's remaining leader entries skipped and
-// wakes their followers; together with every other draining leader this
-// guarantees all parked followers terminate.
+// drainChain marks the worker's remaining leader entries of the pass
+// skipped and wakes their followers; together with every other draining
+// leader this guarantees all parked followers terminate.
 func (wk *wfWorker) drainChain(rest []graph.TaskID) {
 	d := wk.d
 	for _, id := range rest {
 		td := d.prec.Tasks[id]
-		if td.Layer < d.from || td.Lo != wk.rank {
+		if td.Layer >= d.to {
+			return
+		}
+		if td.Lo != wk.rank {
 			continue
 		}
 		if d.state[id].CompareAndSwap(wfPending, wfSkipped) {
@@ -539,15 +568,44 @@ func (d *wfDispatcher) noteReady() {
 	}
 }
 
-// stallError names the first task that never completed, making an
-// internal-error stall diagnosable.
-func (d *wfDispatcher) stallError(done int) error {
+// wfStats totals the dispatch metrics of one execution over the
+// dispatchers it built (one per schedule: the initial one plus one per
+// replan or resize).
+type wfStats struct{ wakeups, chainLaunches, peakReady int64 }
+
+func (s *wfStats) add(d *wfDispatcher) {
+	if d == nil {
+		return
+	}
+	for r := range d.workers {
+		s.wakeups += d.workers[r].wakeups
+		s.chainLaunches += d.workers[r].chainLaunches
+	}
+	if pk := d.peakReady.Load(); pk > s.peakReady {
+		s.peakReady = pk
+	}
+}
+
+func (s *wfStats) flush(rec *obs.Recorder) {
+	if rec == nil {
+		return
+	}
+	rec.Counter("exec.wf.wakeups").Add(s.wakeups)
+	rec.Counter("exec.wf.chain_launches").Add(s.chainLaunches)
+	if s.peakReady > rec.Counter("exec.wf.peak_ready").Value() {
+		rec.SetMetric("exec.wf.peak_ready", s.peakReady)
+	}
+}
+
+// stallError names the first task of the pass that never completed,
+// making an internal-error stall diagnosable.
+func (d *wfDispatcher) stallError() error {
 	for _, id := range d.prec.Scheduled {
 		td := d.prec.Tasks[id]
-		if td.Layer >= d.from && d.state[id].Load() != wfDone {
-			return fmt.Errorf("runtime: wavefront stalled after layer %d of %d at task %d (layer %d group %d) (internal error)",
-				done, len(d.sched.Layers), id, td.Layer, td.Group)
+		if td.Layer >= d.done && td.Layer < d.to && d.state[id].Load() != wfDone {
+			return fmt.Errorf("runtime: dispatch stalled after layer %d of %d at task %d (layer %d group %d) (internal error)",
+				d.done, len(d.sched.Layers), id, td.Layer, td.Group)
 		}
 	}
-	return fmt.Errorf("runtime: wavefront stalled after layer %d of %d (internal error)", done, len(d.sched.Layers))
+	return fmt.Errorf("runtime: dispatch stalled after layer %d of %d (internal error)", d.done, len(d.sched.Layers))
 }

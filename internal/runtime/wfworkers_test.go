@@ -14,6 +14,7 @@ import (
 	"mtask/internal/core"
 	"mtask/internal/fault"
 	"mtask/internal/graph"
+	"mtask/internal/obs"
 )
 
 // gridSchedule hand-builds a schedule of `layers` layers, each with
@@ -49,35 +50,49 @@ func gridSchedule(p, layers, gsize int) *core.Schedule {
 	return sched
 }
 
-func TestPropertyWorkersMatchChannelDispatcher(t *testing.T) {
-	// The differential property of the persistent-worker dispatcher: on
-	// the same schedule it must produce bitwise identical results, the
-	// same completed-layer count and the same number of successful spans
-	// as the channel reference dispatcher, for random DAGs and varying
+// execModes are the two pass widths of the dispatcher.
+var execModes = []struct {
+	name    string
+	layered bool
+	opts    []ExecOption
+}{
+	{"layered", true, nil},
+	{"wavefront", false, []ExecOption{WithWavefront()}},
+}
+
+func TestPropertyWorkersMatchSequential(t *testing.T) {
+	// The differential property of the dispatcher: on the same schedule
+	// both pass widths must produce bitwise identical results, the same
+	// completed-layer count and the same number of successful spans as
+	// the sequential reference interpreter, for random DAGs and varying
 	// core counts.
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 12; trial++ {
 		g := randomExecDAG(rng)
 		P := []int{4, 6, 8}[rng.Intn(3)]
 		sched := randomExecSchedule(t, g, P)
-		ref, rrep := runRecorded(t, sched, P, WithWavefront(), WithChannelDispatcher())
-		got, wrep := runRecorded(t, sched, P, WithWavefront())
-		compareBitwise(t, ref, got)
-		if wrep.Layers != rrep.Layers || wrep.Layers != len(sched.Layers) {
-			t.Fatalf("trial %d: layers done = %d (workers) / %d (channel), want %d",
-				trial, wrep.Layers, rrep.Layers, len(sched.Layers))
-		}
-		if len(wrep.Spans) != len(rrep.Spans) {
-			t.Fatalf("trial %d: %d worker spans, %d channel spans", trial, len(wrep.Spans), len(rrep.Spans))
+		ref, rrep := referenceRecorded(t, sched)
+		for _, mode := range execModes {
+			got, wrep := runRecorded(t, sched, P, mode.opts...)
+			compareBitwise(t, ref, got)
+			checkExecution(t, sched, wrep, mode.layered)
+			if wrep.Layers != rrep.Layers || wrep.Layers != len(sched.Layers) {
+				t.Fatalf("trial %d: layers done = %d (%s) / %d (reference), want %d",
+					trial, wrep.Layers, mode.name, rrep.Layers, len(sched.Layers))
+			}
+			if len(wrep.Spans) != len(rrep.Spans) {
+				t.Fatalf("trial %d: %d %s spans, %d reference spans", trial, len(wrep.Spans), mode.name, len(rrep.Spans))
+			}
 		}
 	}
 }
 
-func TestPropertyWorkersFaultsMatchChannel(t *testing.T) {
+func TestPropertyWorkersFaultsMatchSequential(t *testing.T) {
 	// Equivalence under injected errors, panics and delays with retries:
-	// the injector is deterministic per (task, attempt, rank), so both
-	// dispatchers see the same fault sequence per task and must converge
-	// to the same bits with the same retry and panic totals.
+	// the injector is deterministic per (task, attempt, rank), so the
+	// dispatcher and the reference see the same fault sequence per task
+	// and must converge to the same bits with the same retry and panic
+	// totals.
 	rng := rand.New(rand.NewSource(17))
 	pol := fault.DefaultPolicy()
 	pol.MaxRetries = 20
@@ -86,81 +101,170 @@ func TestPropertyWorkersFaultsMatchChannel(t *testing.T) {
 		g := randomExecDAG(rng)
 		sched := randomExecSchedule(t, g, 8)
 		inj := &fault.Injector{Seed: int64(trial + 1), PError: 0.08, PPanic: 0.04, PDelay: 0.05, Delay: 100 * time.Microsecond}
-		ref, rrep := runRecorded(t, sched, 8, WithPolicy(pol), WithInjector(inj), WithWavefront(), WithChannelDispatcher())
-		got, wrep := runRecorded(t, sched, 8, WithPolicy(pol), WithInjector(inj), WithWavefront())
-		compareBitwise(t, ref, got)
-		if wrep.Layers != rrep.Layers {
-			t.Fatalf("trial %d: layers done = %d (workers) / %d (channel)", trial, wrep.Layers, rrep.Layers)
-		}
-		if wrep.Retries != rrep.Retries || wrep.Panics != rrep.Panics {
-			t.Fatalf("trial %d: retries/panics = %d/%d (workers), %d/%d (channel)",
-				trial, wrep.Retries, wrep.Panics, rrep.Retries, rrep.Panics)
+		faults := []ExecOption{WithPolicy(pol), WithInjector(inj)}
+		ref, rrep := referenceRecorded(t, sched, faults...)
+		for _, mode := range execModes {
+			got, wrep := runRecorded(t, sched, 8, append(faults, mode.opts...)...)
+			compareBitwise(t, ref, got)
+			checkExecution(t, sched, wrep, mode.layered)
+			if wrep.Layers != rrep.Layers {
+				t.Fatalf("trial %d: layers done = %d (%s) / %d (reference)", trial, wrep.Layers, mode.name, rrep.Layers)
+			}
+			if wrep.Retries != rrep.Retries || wrep.Panics != rrep.Panics {
+				t.Fatalf("trial %d: retries/panics = %d/%d (%s), %d/%d (reference)",
+					trial, wrep.Retries, wrep.Panics, mode.name, rrep.Retries, rrep.Panics)
+			}
 		}
 	}
 }
 
-func TestPropertyWorkersCoreLossCheckpointMatchesChannel(t *testing.T) {
-	// A scripted mid-run core loss is fully deterministic, so the two
-	// dispatchers must agree on the degrade-and-replan bookkeeping too:
-	// same replan count, same lost cores, same completed-layer
-	// checkpoints, and bitwise identical outputs after the resume.
-	g, sched := diamondSchedule(t, 8)
+// coresOf returns the number of symbolic cores the schedule gives the
+// named source task.
+func coresOf(t *testing.T, sched *core.Schedule, name string) int {
+	t.Helper()
+	for _, ls := range sched.Layers {
+		for gi, ids := range ls.Groups {
+			for _, id := range ids {
+				for _, src := range sched.SourceTasks(id) {
+					if sched.Source.Task(src).Name == name {
+						return ls.Sizes[gi]
+					}
+				}
+			}
+		}
+	}
+	t.Fatalf("task %q is not scheduled", name)
+	return 0
+}
+
+func TestPropertyWorkersCoreLossCheckpointMatchesSequential(t *testing.T) {
+	// A scripted mid-run core loss is fully deterministic, so the
+	// degrade-and-replan bookkeeping is too: one replan, the failed
+	// groups' cores lost, the completed layers before the failing one as
+	// the checkpoint, and outputs bitwise identical to the reference run
+	// of the old schedule up to the checkpoint and the replanned one from
+	// there. A layered pass lets every group of the layer run to its own
+	// end, so two groups exhausting their retries in one layer cost one
+	// replan and both groups' cores on every repetition; a wavefront pass
+	// stops launching at the first failure, so what a second failing group
+	// costs there depends on timing and is not pinned.
+	dg, diamond := diamondSchedule(t, 8)
+	cases := []struct {
+		name      string
+		sched     *core.Schedule
+		replan    Replanner
+		script    []fault.Script
+		lost      int
+		width     int // tasks in the widest layer
+		reps      int
+		wavefront bool
+	}{
+		{"one group", diamond, diamondReplanner(t, dg),
+			[]fault.Script{{Task: "b", Attempt: 1, Rank: 0, Kind: fault.CoreLoss}}, coresOf(t, diamond, "b"), 2, 1, true},
+		{"two groups of one layer", gridSchedule(8, 3, 2),
+			func(_ context.Context, survivors int) (*core.Schedule, error) {
+				return gridSchedule(survivors, 3, survivors/4), nil
+			},
+			[]fault.Script{
+				{Task: "g0.1", Attempt: 1, Rank: 0, Kind: fault.CoreLoss},
+				{Task: "g2.1", Attempt: 1, Rank: 1, Kind: fault.CoreLoss},
+			}, 4, 4, 50, false},
+	}
 	pol := fault.DefaultPolicy()
 	pol.BaseBackoff = 50 * time.Microsecond
 	pol.DegradeAndReplan = true
-
-	run := func(opts ...ExecOption) (map[string]float64, *Report) {
-		inj := &fault.Injector{Script: []fault.Script{
-			{Task: "b", Attempt: 1, Rank: 0, Kind: fault.CoreLoss},
-		}}
-		w, _ := NewWorld(8)
-		var out sync.Map
-		rep, err := ExecuteCtx(context.Background(), w, sched, recordingBody(&out),
-			append([]ExecOption{WithPolicy(pol), WithInjector(inj), WithReplanner(diamondReplanner(t, g)), WithWavefront()}, opts...)...)
+	for _, tc := range cases {
+		const checkpoint = 1 // both scripts fail layer 1
+		layers := len(tc.sched.Layers)
+		replanned, err := tc.replan(context.Background(), tc.sched.P-tc.lost)
 		if err != nil {
-			t.Fatalf("degrade-and-replan failed: %v\n%s", err, rep)
+			t.Fatal(err)
 		}
-		m := make(map[string]float64)
-		out.Range(func(k, v any) bool {
-			m[k.(string)] = v.(float64)
-			return true
-		})
-		return m, rep
-	}
+		var refOut sync.Map
+		runSequential(t, tc.sched, 0, checkpoint, recordingBody(&refOut))
+		runSequential(t, replanned, checkpoint, layers, recordingBody(&refOut))
+		ref := recordings(&refOut)
 
-	ref, rrep := run(WithChannelDispatcher())
-	got, wrep := run()
-	compareBitwise(t, ref, got)
-	if wrep.Replans != rrep.Replans || wrep.Replans != 1 {
-		t.Fatalf("replans = %d (workers) / %d (channel), want 1\nworkers: %schannel: %s", wrep.Replans, rrep.Replans, wrep, rrep)
-	}
-	if wrep.LostCores != rrep.LostCores {
-		t.Fatalf("lost cores = %d (workers) / %d (channel)\nworkers: %schannel: %s", wrep.LostCores, rrep.LostCores, wrep, rrep)
-	}
-	if wrep.Layers != rrep.Layers {
-		t.Fatalf("layers done = %d (workers) / %d (channel)\nworkers: %schannel: %s", wrep.Layers, rrep.Layers, wrep, rrep)
+		for _, mode := range execModes {
+			if !mode.layered && !tc.wavefront {
+				continue
+			}
+			for i := 0; i < tc.reps; i++ {
+				var replanAt time.Time
+				replan := func(ctx context.Context, survivors int) (*core.Schedule, error) {
+					replanAt = time.Now()
+					return tc.replan(ctx, survivors)
+				}
+				w, _ := NewWorld(tc.sched.P)
+				rec := obs.New(tc.sched.P, obs.WithCapacity(256))
+				var out sync.Map
+				r, err := ExecuteCtx(context.Background(), w, tc.sched, recordingBody(&out), append([]ExecOption{
+					WithPolicy(pol), WithInjector(&fault.Injector{Script: tc.script}), WithReplanner(replan),
+					WithRecorder(rec)}, mode.opts...)...)
+				if err != nil {
+					t.Fatalf("%s, %s: degrade-and-replan failed: %v\n%s", tc.name, mode.name, err, r)
+				}
+				compareBitwise(t, ref, recordings(&out))
+				if r.Replans != 1 || r.LostCores != tc.lost || r.Layers != layers {
+					t.Fatalf("%s, %s, repetition %d: %d replans, %d cores lost, %d layers done; want 1, %d, %d\n%s",
+						tc.name, mode.name, i, r.Replans, r.LostCores, r.Layers, tc.lost, layers, r)
+				}
+				// The launch backlog is a high-water mark over the run's
+				// dispatchers, not a sum: never above the widest layer.
+				if pk := rec.Metrics()["exec.wf.peak_ready"]; pk < 1 || pk > int64(tc.width) {
+					t.Fatalf("%s, %s: exec.wf.peak_ready = %d, want in [1, %d]", tc.name, mode.name, pk, tc.width)
+				}
+				// Attempts that succeeded before the replan ran on the old
+				// schedule; of those only the checkpointed layers count.
+				var before, after []TaskSpan
+				for _, s := range r.Spans {
+					switch {
+					case s.End > replanAt.Sub(r.epoch):
+						after = append(after, s)
+					case s.Layer < checkpoint:
+						before = append(before, s)
+					}
+				}
+				checkSpans(t, tc.sched, 0, checkpoint, before, mode.layered)
+				checkSpans(t, replanned, checkpoint, layers, after, mode.layered)
+			}
+		}
 	}
 }
 
-func TestPropertyWorkersSpawnModeMatchesChannel(t *testing.T) {
-	// A policy with a per-attempt TaskTimeout routes leaders through the
-	// spawned-attempt fallback (attempts must be abandonable). The
-	// fallback must preserve the differential property under faults just
-	// like the cooperative path.
+func TestPropertyWorkersSpawnModeMatchesSequential(t *testing.T) {
+	// A policy with a deadline routes leaders through the spawned-attempt
+	// fallback (attempts must be abandonable): a per-attempt TaskTimeout
+	// in both modes, a LayerTimeout in layered mode. The fallback must
+	// preserve the differential property under faults just like the
+	// cooperative path.
 	rng := rand.New(rand.NewSource(23))
 	pol := fault.DefaultPolicy()
 	pol.MaxRetries = 20
 	pol.BaseBackoff = 50 * time.Microsecond
-	pol.TaskTimeout = 30 * time.Second // generous: selects the spawn path, never fires
+	taskTimeout, layerTimeout := pol, pol
+	taskTimeout.TaskTimeout = 30 * time.Second // generous: selects the spawn path, never fires
+	layerTimeout.LayerTimeout = 30 * time.Second
 	for trial := 0; trial < 4; trial++ {
 		g := randomExecDAG(rng)
 		sched := randomExecSchedule(t, g, 8)
 		inj := &fault.Injector{Seed: int64(trial + 41), PError: 0.08, PPanic: 0.04}
-		ref, _ := runRecorded(t, sched, 8, WithPolicy(pol), WithInjector(inj), WithWavefront(), WithChannelDispatcher())
-		got, wrep := runRecorded(t, sched, 8, WithPolicy(pol), WithInjector(inj), WithWavefront())
-		compareBitwise(t, ref, got)
-		if wrep.Layers != len(sched.Layers) {
-			t.Fatalf("trial %d: workers completed %d of %d layers", trial, wrep.Layers, len(sched.Layers))
+		ref, _ := referenceRecorded(t, sched, WithPolicy(taskTimeout), WithInjector(inj))
+		for _, mode := range []struct {
+			name    string
+			layered bool
+			opts    []ExecOption
+		}{
+			{"wavefront, task timeout", false, []ExecOption{WithPolicy(taskTimeout), WithWavefront()}},
+			{"layered, task timeout", true, []ExecOption{WithPolicy(taskTimeout)}},
+			{"layered, layer timeout", true, []ExecOption{WithPolicy(layerTimeout)}},
+		} {
+			got, wrep := runRecorded(t, sched, 8, append(mode.opts, WithInjector(inj))...)
+			compareBitwise(t, ref, got)
+			checkExecution(t, sched, wrep, mode.layered)
+			if wrep.Layers != len(sched.Layers) {
+				t.Fatalf("trial %d, %s: completed %d of %d layers", trial, mode.name, wrep.Layers, len(sched.Layers))
+			}
 		}
 	}
 }
@@ -168,9 +272,9 @@ func TestPropertyWorkersSpawnModeMatchesChannel(t *testing.T) {
 func TestWorkersTaskTimeoutUnblocksBarrier(t *testing.T) {
 	// The watchdog semantics of the spawn fallback, end to end: one rank
 	// hangs past the per-attempt deadline while its peers wait at a group
-	// barrier. The persistent-worker dispatcher must abort the attempt's
-	// communicator (releasing the peers) and fail with DeadlineExceeded —
-	// and the persistent workers themselves must not deadlock.
+	// barrier. The dispatcher must abort the attempt's communicator
+	// (releasing the peers) and fail with DeadlineExceeded — and the rank
+	// workers themselves must not deadlock.
 	sched := gridSchedule(4, 2, 4)
 	w, _ := NewWorld(4)
 	pol := fault.Policy{TaskTimeout: 50 * time.Millisecond}
@@ -201,36 +305,39 @@ func TestWorkersTaskTimeoutUnblocksBarrier(t *testing.T) {
 }
 
 func TestWorkersCancellationObservedBetweenAttempts(t *testing.T) {
-	// The documented divergence of the cooperative path: caller
-	// cancellation is observed between attempts. A body that honors its
-	// TaskCtx.Ctx unblocks immediately; the dispatcher must then stop
-	// launching and return the cancellation, with all workers joined.
+	// The cancellation semantics of cooperative attempts, at both pass
+	// widths: caller cancellation is observed between attempts. A body
+	// that honors its TaskCtx.Ctx unblocks immediately; the dispatcher
+	// must then stop launching and return the cancellation, with all
+	// workers joined.
 	sched := gridSchedule(2, 50, 1)
-	w, _ := NewWorld(2)
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int32
-	body := func(task *graph.Task) TaskFunc {
-		return func(tc *TaskCtx) error {
-			if ran.Add(1) == 4 {
-				cancel()
-			}
-			select {
-			case <-tc.Ctx.Done():
-				return tc.Ctx.Err()
-			default:
-				return nil
+	for _, mode := range execModes {
+		w, _ := NewWorld(2)
+		ctx, cancel := context.WithCancel(context.Background())
+		var ran atomic.Int32
+		body := func(task *graph.Task) TaskFunc {
+			return func(tc *TaskCtx) error {
+				if ran.Add(1) == 4 {
+					cancel()
+				}
+				select {
+				case <-tc.Ctx.Done():
+					return tc.Ctx.Err()
+				default:
+					return nil
+				}
 			}
 		}
-	}
-	rep, err := ExecuteCtx(ctx, w, sched, body, WithWavefront())
-	if err == nil {
-		t.Fatalf("cancellation not reported\n%s", rep)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error does not wrap context.Canceled: %v", err)
-	}
-	if n := ran.Load(); n >= 100 {
-		t.Fatalf("all %d tasks ran despite cancellation", n)
+		rep, err := ExecuteCtx(ctx, w, sched, body, mode.opts...)
+		if err == nil {
+			t.Fatalf("%s: cancellation not reported\n%s", mode.name, rep)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: error does not wrap context.Canceled: %v", mode.name, err)
+		}
+		if n := ran.Load(); n >= 100 {
+			t.Fatalf("%s: all %d tasks ran despite cancellation", mode.name, n)
+		}
 	}
 }
 
@@ -332,32 +439,34 @@ func TestWavefrontDispatchAllocFree(t *testing.T) {
 }
 
 func TestWavefrontPeakGoroutinesConstant(t *testing.T) {
-	// The scaling gate: the persistent-worker dispatcher runs P workers
-	// for the whole pass, so the peak goroutine count must be O(P) — not
-	// O(in-flight tasks) like a goroutine-per-task dispatcher.
+	// The scaling gate: a pass runs P workers, whatever its width, so the
+	// peak goroutine count must be O(P) — not O(in-flight tasks × group
+	// size) like a dispatcher that spawns per task or per attempt.
 	const P = 8
 	sched := gridSchedule(P, 200, 1)
-	w, _ := NewWorld(P)
-	var peak atomic.Int64
-	body := func(task *graph.Task) TaskFunc {
-		return func(tc *TaskCtx) error {
-			n := int64(runtime.NumGoroutine())
-			for {
-				pk := peak.Load()
-				if n <= pk || peak.CompareAndSwap(pk, n) {
-					return nil
+	for _, mode := range execModes {
+		w, _ := NewWorld(P)
+		var peak atomic.Int64
+		body := func(task *graph.Task) TaskFunc {
+			return func(tc *TaskCtx) error {
+				n := int64(runtime.NumGoroutine())
+				for {
+					pk := peak.Load()
+					if n <= pk || peak.CompareAndSwap(pk, n) {
+						return nil
+					}
 				}
 			}
 		}
-	}
-	baseline := runtime.NumGoroutine()
-	if _, err := ExecuteCtx(context.Background(), w, sched, body, WithWavefront(), WithoutTimeline()); err != nil {
-		t.Fatal(err)
-	}
-	extra := int(peak.Load()) - baseline
-	t.Logf("peak goroutines: baseline %d, peak %d (+%d) for P=%d", baseline, peak.Load(), extra, P)
-	if extra > P+4 {
-		t.Fatalf("peak goroutines %d above baseline %d for P=%d: dispatch is not O(P)", extra, baseline, P)
+		baseline := runtime.NumGoroutine()
+		if _, err := ExecuteCtx(context.Background(), w, sched, body, append(mode.opts, WithoutTimeline())...); err != nil {
+			t.Fatal(err)
+		}
+		extra := int(peak.Load()) - baseline
+		t.Logf("%s: peak goroutines: baseline %d, peak %d (+%d) for P=%d", mode.name, baseline, peak.Load(), extra, P)
+		if extra > P+4 {
+			t.Fatalf("%s: peak goroutines %d above baseline %d for P=%d: dispatch is not O(P)", mode.name, extra, baseline, P)
+		}
 	}
 }
 
@@ -375,19 +484,22 @@ func TestWithoutTimelineLeanReport(t *testing.T) {
 	inj := &fault.Injector{Script: []fault.Script{
 		{Task: "slow[1]", Attempt: 1, Rank: 0, Kind: fault.Error},
 	}}
-	modes := map[string][]ExecOption{
-		"layered":  {WithoutTimeline()},
-		"workers":  {WithoutTimeline(), WithWavefront()},
-		"channel":  {WithoutTimeline(), WithWavefront(), WithChannelDispatcher()},
-		"timeline": {WithWavefront()}, // control: spans retained by default
-	}
-	for mode, opts := range modes {
+	faults := []ExecOption{WithPolicy(pol), WithInjector(inj)}
+	run := func(opts ...ExecOption) *Report {
 		w, _ := NewWorld(2)
-		rep, err := ExecuteCtx(context.Background(), w, sched, body,
-			append([]ExecOption{WithPolicy(pol), WithInjector(inj)}, opts...)...)
+		rep, err := ExecuteCtx(context.Background(), w, sched, body, append(faults, opts...)...)
 		if err != nil {
-			t.Fatalf("%s: %v\n%s", mode, err, rep)
+			t.Fatalf("%v\n%s", err, rep)
 		}
+		return rep
+	}
+	reports := map[string]*Report{
+		"layered":   run(WithoutTimeline()),
+		"wavefront": run(WithoutTimeline(), WithWavefront()),
+		"reference": runSequential(t, sched, 0, 3, body, append(faults, WithoutTimeline())...),
+		"timeline":  run(WithWavefront()), // control: spans retained by default
+	}
+	for mode, rep := range reports {
 		if mode == "timeline" {
 			if len(rep.Spans) != 6 {
 				t.Fatalf("timeline control retained %d spans, want 6", len(rep.Spans))

@@ -508,12 +508,6 @@ func WithResizer(r Resizer) ExecOption { return runtime.WithResizer(r) }
 // admission) but not malleable.
 var ErrResizeInWavefront = runtime.ErrResizeInWavefront
 
-// WithChannelDispatcher selects the reference channel-based wavefront
-// dispatcher (one goroutine per launched task) instead of the default
-// persistent-worker dispatcher. Kept for differential testing and
-// dispatch-overhead comparisons; production runs should not need it.
-func WithChannelDispatcher() ExecOption { return runtime.WithChannelDispatcher() }
-
 // TaskSpan is one Report timeline entry: which task ran on which layer,
 // group and core count, and when (offsets from the start of execution).
 type TaskSpan = runtime.TaskSpan
