@@ -2,6 +2,11 @@ package ode
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -208,5 +213,135 @@ func TestExecStateWavefrontIdenticalAfterCoreLossReplan(t *testing.T) {
 	}
 	if err := CompareOutputs(want, st.Outputs()); err != nil {
 		t.Fatalf("results diverged after replan: %v\n%s", err, rep)
+	}
+}
+
+// solverGraphs are the four graphs of the benchmark's ode-layered suite
+// (same builder arguments, steps free).
+func solverGraphs(n, steps int) []*graph.Graph {
+	return []*graph.Graph{
+		BuildEPOLGraph(n, 600, 8, steps),
+		BuildIRKGraph(n, 600, 4, 2, steps),
+		BuildDIIRKGraph(n, 600, 4, 2, steps),
+		BuildPABGraph(n, 600, 8, 2, steps),
+	}
+}
+
+// outputsDigest is the SHA-256 of the output vectors in ascending task id,
+// every element as its math.Float64bits, little-endian.
+func outputsDigest(out map[graph.TaskID][]float64) string {
+	ids := make([]graph.TaskID, 0, len(out))
+	for id := range out {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	h := sha256.New()
+	var b [8]byte
+	for _, id := range ids {
+		for _, v := range out[id] {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestReferenceGolden(t *testing.T) {
+	// Reference is the oracle of every ExecState property test and of the
+	// benchmark's ode-layered workload. These digests were recorded on the
+	// commit before ExecState's data path was rewritten (510a7ba), so a
+	// rewrite of Reference itself cannot move the trajectory unnoticed.
+	golden := map[int][4]string{
+		64: {
+			"9910308adca133fd3f44949208b898d9cedf679b8e9f9c21d81a5f19711a76dc",
+			"63bddb71203327b5e7114d197bbc6ebceaf28fbfe73a114618e2885e8b3ba55f",
+			"63bddb71203327b5e7114d197bbc6ebceaf28fbfe73a114618e2885e8b3ba55f", // same dependence structure and ids as IRK
+			"5b2efb8e690fa91d63e33cdc9a7d6fd161cda29ca2d9d35812e4ff6049a4c7a9",
+		},
+		257: {
+			"698cefb5782f370ee0a4244c45c9cfa0d2f4aa5530a3f7aad4a2ae93911da357",
+			"8003d2fab79119028c0e3feb4827e26b9474ec5f50830543af70101a73d974e3",
+			"8003d2fab79119028c0e3feb4827e26b9474ec5f50830543af70101a73d974e3",
+			"55d4639c6991e3fb7f4391d09c90330798b74ac391c5305cd8e3001314fa02aa",
+		},
+	}
+	for n, want := range golden {
+		for i, g := range solverGraphs(n, 2) {
+			if got := outputsDigest(Reference(g, n)); got != want[i] {
+				t.Errorf("%s n=%d: digest %s, want %s", g.Name, n, got, want[i])
+			}
+		}
+	}
+}
+
+// naiveReference is a straight-line copy of the algorithm ExecState and
+// Reference implemented before the block-local rewrite: a full-length
+// input vector per task, summed predecessor by predecessor in ascending
+// id, the initial vector for tasks without a stored predecessor.
+func naiveReference(t *testing.T, g *graph.Graph, n int) map[graph.TaskID][]float64 {
+	t.Helper()
+	order, err := g.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[graph.TaskID][]float64)
+	for _, id := range order {
+		if g.Task(id).Kind != graph.KindBasic {
+			continue
+		}
+		preds := append([]graph.TaskID(nil), g.Pred(id)...)
+		sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
+		in := make([]float64, n)
+		stored := false
+		for _, p := range preds {
+			if v, ok := out[p]; ok {
+				stored = true
+				for i := range in {
+					in[i] += v[i]
+				}
+			}
+		}
+		if !stored {
+			for i := range in {
+				in[i] = 1 + 0.001*float64(i%13)
+			}
+		}
+		full := make([]float64, n)
+		for i := range full {
+			full[i] = math.Tanh(0.3*in[i]+0.05*float64(id+1)) + 0.001*float64(i%7)
+		}
+		out[id] = full
+	}
+	return out
+}
+
+func TestExecStateMatchesNaiveReference(t *testing.T) {
+	// n is prime, so no group size above 1 divides it and the block
+	// boundaries fall at uneven offsets.
+	const n = 257
+	for _, g := range solverGraphs(n, 2) {
+		want := naiveReference(t, g, n)
+		if err := CompareOutputs(want, Reference(g, n)); err != nil {
+			t.Fatalf("%s: Reference: %v", g.Name, err)
+		}
+		for _, P := range []int{3, 4, 8} {
+			sched := pabSchedule(t, g, P)
+			w, _ := runtime.NewWorld(P)
+			for _, mode := range []struct {
+				name string
+				opts []runtime.ExecOption
+			}{{"layered", nil}, {"wavefront", []runtime.ExecOption{runtime.WithWavefront()}}} {
+				st := NewExecState(g, n)
+				rep, err := runtime.ExecuteCtx(context.Background(), w, sched, st.Body, mode.opts...)
+				if err != nil {
+					t.Fatalf("%s %s on %d cores: %v\n%s", g.Name, mode.name, P, err, rep)
+				}
+				if got := st.Outputs(); len(got) != len(want) {
+					t.Fatalf("%s %s on %d cores: %d outputs, want %d", g.Name, mode.name, P, len(got), len(want))
+				} else if err := CompareOutputs(want, got); err != nil {
+					t.Fatalf("%s %s on %d cores: %v", g.Name, mode.name, P, err)
+				}
+			}
+		}
 	}
 }
