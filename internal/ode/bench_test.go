@@ -1,8 +1,12 @@
 package ode
 
 import (
+	"context"
 	"testing"
 
+	"mtask/internal/arch"
+	"mtask/internal/graph"
+	"mtask/internal/plan"
 	"mtask/internal/runtime"
 )
 
@@ -64,5 +68,51 @@ func BenchmarkExecEPOLTimestepTP(b *testing.B) {
 	b.ResetTimer()
 	if _, err := ParallelEPOL(w, sys, 4, RunOpts{Groups: 2, Steps: b.N, H: 1e-4, Control: true}); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkExecStateSuite is one operation of the benchmark's ode-layered
+// workload without its harness: the four solver graphs at n=16384 over 8
+// steps, each planned cold and executed in layered mode on 4 ranks with
+// ExecState's vector payloads. Bytes are the published output vectors
+// (8·n per basic task), so MB/s is payload produced per second; the
+// bitwise check against Reference runs outside the timer.
+func BenchmarkExecStateSuite(b *testing.B) {
+	const n, P = 16384, 4
+	ctx := context.Background()
+	m := arch.CHiC().SubsetCores(P)
+	graphs := solverGraphs(n, 8)
+	wants := make([]map[graph.TaskID][]float64, len(graphs))
+	tasks := 0
+	for i, g := range graphs {
+		wants[i] = Reference(g, n)
+		tasks += len(wants[i])
+	}
+	states := make([]*ExecState, len(graphs))
+	b.SetBytes(int64(8 * n * tasks))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		for i, g := range graphs {
+			mp, err := plan.New().Plan(ctx, g, m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w, err := runtime.NewWorld(P)
+			if err != nil {
+				b.Fatal(err)
+			}
+			states[i] = NewExecState(g, n)
+			if _, err := runtime.ExecuteCtx(ctx, w, mp.Schedule, states[i].Body); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		for i := range graphs {
+			if err := CompareOutputs(wants[i], states[i].Outputs()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
 	}
 }

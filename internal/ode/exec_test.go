@@ -6,7 +6,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	goruntime "runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +18,7 @@ import (
 	"mtask/internal/cost"
 	"mtask/internal/fault"
 	"mtask/internal/graph"
+	"mtask/internal/plan"
 	"mtask/internal/runtime"
 )
 
@@ -227,6 +231,12 @@ func solverGraphs(n, steps int) []*graph.Graph {
 	}
 }
 
+// execModes are the two pass widths of the dispatcher.
+var execModes = []struct {
+	name string
+	opts []runtime.ExecOption
+}{{"layered", nil}, {"wavefront", []runtime.ExecOption{runtime.WithWavefront()}}}
+
 // outputsDigest is the SHA-256 of the output vectors in ascending task id,
 // every element as its math.Float64bits, little-endian.
 func outputsDigest(out map[graph.TaskID][]float64) string {
@@ -327,10 +337,7 @@ func TestExecStateMatchesNaiveReference(t *testing.T) {
 		for _, P := range []int{3, 4, 8} {
 			sched := pabSchedule(t, g, P)
 			w, _ := runtime.NewWorld(P)
-			for _, mode := range []struct {
-				name string
-				opts []runtime.ExecOption
-			}{{"layered", nil}, {"wavefront", []runtime.ExecOption{runtime.WithWavefront()}}} {
+			for _, mode := range execModes {
 				st := NewExecState(g, n)
 				rep, err := runtime.ExecuteCtx(context.Background(), w, sched, st.Body, mode.opts...)
 				if err != nil {
@@ -342,6 +349,122 @@ func TestExecStateMatchesNaiveReference(t *testing.T) {
 					t.Fatalf("%s %s on %d cores: %v", g.Name, mode.name, P, err)
 				}
 			}
+		}
+	}
+}
+
+func TestExecStateBytesPerTask(t *testing.T) {
+	// The allocation bill of a task is its published output vector and
+	// little else: bytes per basic task stay within 1.25 · 8n (the slack
+	// covers the free-list vectors of ranks other than 0 and the
+	// communicators' pooled staging buffers) and mallocs per basic task
+	// (body and dispatch together) stay below what they were before the
+	// block-local rewrite. Measured on this gate (P=4, n=4096, 4 steps,
+	// go1.24, per basic task):
+	//
+	//	before  IRK 4.27 · 8n, 17.1–17.9 mallocs   PABM 3.03 · 8n, 11.1–11.6 mallocs
+	//	after   IRK 1.13 · 8n,  8.4–8.5  mallocs   PABM 1.02 · 8n,  4.9–5.3  mallocs
+	//
+	// The old path allocated an input vector, a block and a gather result
+	// on every rank, and sorted a copy of the predecessor list.
+	if raceEnabled {
+		t.Skip("the race detector's allocations and pool drops inflate the counts")
+	}
+	const n, P = 4096, 4
+	const maxBytes = 1.25 * 8 * n
+	m := arch.CHiC().SubsetCores(P)
+	for _, c := range []struct {
+		g          *graph.Graph
+		maxMallocs float64 // the lowest reading before the rewrite
+	}{{BuildIRKGraph(n, 600, 4, 2, 4), 17.1}, {BuildPABGraph(n, 600, 8, 2, 4), 11.1}} {
+		g := c.g
+		mp, err := plan.New().Plan(context.Background(), g, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, _ := runtime.NewWorld(P)
+		st := NewExecState(g, n)
+		var before, after goruntime.MemStats
+		goruntime.GC()
+		goruntime.ReadMemStats(&before)
+		if _, err := runtime.ExecuteCtx(context.Background(), w, mp.Schedule, st.Body); err != nil {
+			t.Fatal(err)
+		}
+		goruntime.ReadMemStats(&after)
+		want := Reference(g, n) // one vector per basic task
+		if err := CompareOutputs(want, st.Outputs()); err != nil {
+			t.Fatal(err)
+		}
+		tasks := float64(len(want))
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / tasks
+		mallocs := float64(after.Mallocs-before.Mallocs) / tasks
+		t.Logf("%s: %.0f bytes (%.2f · 8n) and %.1f mallocs per basic task", g.Name, bytes, bytes/(8*n), mallocs)
+		if bytes > maxBytes {
+			t.Errorf("%s: %.0f bytes per basic task, want ≤ %.0f (1.25 · 8n)", g.Name, bytes, float64(maxBytes))
+		}
+		if mallocs > c.maxMallocs {
+			t.Errorf("%s: %.1f mallocs per basic task, want ≤ %.1f", g.Name, mallocs, c.maxMallocs)
+		}
+	}
+}
+
+func TestExecStateAbandonedAttemptRaceFree(t *testing.T) {
+	// A short TaskTimeout selects the spawned-attempt path, whose timed-out
+	// attempts are aborted and, past the grace period, abandoned while the
+	// retry runs. Two first attempts time out on a scripted delay of rank 0
+	// (its peers are aborted in the gather, holding free-list vectors), and
+	// rank 0 of a third hangs inside the body past timeout and grace, so its
+	// goroutine computes into its destination while the retry publishes and
+	// successors read. Each attempt's destination is its own make, so the
+	// straggler cannot touch published data; the race detector checks that.
+	const n, P = 257, 8
+	const timeout, grace = 30 * time.Millisecond, 5 * time.Millisecond
+	g := BuildPABGraph(n, 10, 4, 0, 4)
+	want := Reference(g, n)
+	sched := pabSchedule(t, g, P)
+
+	pol := fault.DefaultPolicy()
+	pol.MaxRetries = 6
+	pol.BaseBackoff = 50 * time.Microsecond
+	pol.TaskTimeout = timeout
+	inj := &fault.Injector{Script: []fault.Script{
+		{Task: "stage[1](0)", Attempt: 1, Rank: 0, Kind: fault.Delay, Delay: 10 * timeout},
+		{Task: "stage[2](3)", Attempt: 1, Rank: 0, Kind: fault.Delay, Delay: 10 * timeout},
+	}}
+	for _, mode := range execModes {
+		st := NewExecState(g, n)
+		var hung atomic.Bool
+		var stragglers sync.WaitGroup
+		body := func(task *graph.Task) runtime.TaskFunc {
+			fn := st.Body(task)
+			if task.Name != "stage[1](2)" {
+				return fn
+			}
+			return func(tc *runtime.TaskCtx) error {
+				if tc.Group.Rank() == 0 && hung.CompareAndSwap(false, true) {
+					stragglers.Add(1)
+					defer stragglers.Done()
+					time.Sleep(timeout + 4*grace) // ignores tc.Ctx: abandoned, then runs the body
+				}
+				return fn(tc)
+			}
+		}
+		w, _ := runtime.NewWorld(P)
+		opts := append([]runtime.ExecOption{runtime.WithPolicy(pol), runtime.WithInjector(inj),
+			runtime.WithAbandonGrace(grace)}, mode.opts...)
+		rep, err := runtime.ExecuteCtx(context.Background(), w, sched, body, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", mode.name, err, rep)
+		}
+		if rep.Retries < 3 {
+			t.Fatalf("%s: %d retries, want one for each of the three abandoned attempts\n%s", mode.name, rep.Retries, rep)
+		}
+		if err := CompareOutputs(want, st.Outputs()); err != nil {
+			t.Fatalf("%s: %v\n%s", mode.name, err, rep)
+		}
+		stragglers.Wait()
+		if err := CompareOutputs(want, st.Outputs()); err != nil {
+			t.Fatalf("%s, after the abandoned attempt ended: %v", mode.name, err)
 		}
 	}
 }

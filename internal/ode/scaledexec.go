@@ -13,9 +13,9 @@ import (
 // -scale N` can execute 100k+-task schedules end to end instead of only
 // planning them.
 //
-// Unlike ExecState (whose per-task input assembly allocates maps and
-// sorted slices — fine at solver-graph sizes, fatal at 100k tasks on the
-// dispatch hot path), the scaled body is allocation-free in steady state:
+// Where ExecState carries a vector per task (a closure and an output
+// allocation each), the scaled body carries one scalar, so that dispatch is
+// all a 100k-task run measures, and is allocation-free in steady state:
 // one shared TaskFunc for every task (the body reads its task id from the
 // TaskCtx), one output slot per task in a presized slab, and only
 // allocation-free collectives. The value of a task is a deterministic
