@@ -202,7 +202,7 @@ func printRequest(w *os.File, solver string, n, steps, cores int) error {
 }
 
 // solverGraph builds the named solver's M-task graph at the given scale
-// (the same workloads mtaskbench plans and executes).
+// (the fig13/fig15 workloads of the paper's evaluation).
 func solverGraph(solver string, n, steps int) (*graph.Graph, error) {
 	const eval = 600
 	switch solver {

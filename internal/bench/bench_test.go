@@ -171,6 +171,9 @@ func TestFig16ShapesSmall(t *testing.T) {
 	if !(tpGain/tpBase > dpGain/dpBase) {
 		t.Errorf("PABM: tp scaling %g/%g not above dp %g/%g", tpGain, tpBase, dpGain, dpBase)
 	}
+	if !(tpGain > dpGain) {
+		t.Errorf("PABM @256: tp speedup %g not above dp %g", tpGain, dpGain)
+	}
 	pab := byID["fig16-pab-chic"]
 	for _, p := range []float64{64, 256} {
 		c, _ := pab.Get("consecutive", p)
@@ -313,6 +316,11 @@ func TestAblationsSmall(t *testing.T) {
 			t.Fatalf("%s: bad number %q", tab.ID, tab.Rows[row][1])
 		}
 		return v
+	}
+	for _, id := range []string{"ablation-chains", "ablation-adjust", "ablation-lpt", "ablation-mixed-d"} {
+		if byID[id] == nil {
+			t.Fatalf("ablation %s missing", id)
+		}
 	}
 	chains := byID["ablation-chains"]
 	if !(parse(chains, 0) <= parse(chains, 1)) {

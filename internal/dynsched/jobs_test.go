@@ -20,14 +20,17 @@ import (
 // stage with full bipartite edges between stages, so nothing contracts
 // into a chain and the schedule has exactly `stages` layers — one resize
 // opportunity per stage boundary.
-func jobLadder(name string, stages int) *graph.Graph {
+func jobLadder(name string, stages int) *graph.Graph { return workLadder(name, stages, 1e6) }
+
+// workLadder is jobLadder with the given Work per task.
+func workLadder(name string, stages int, work float64) *graph.Graph {
 	g := graph.New(name)
 	var prev [2]graph.TaskID
 	for s := 0; s < stages; s++ {
 		var cur [2]graph.TaskID
 		for i := 0; i < 2; i++ {
 			cur[i] = g.AddTask(&graph.Task{
-				Name: fmt.Sprintf("%s.%d.%d", name, s, i), Kind: graph.KindBasic, Work: 1e6,
+				Name: fmt.Sprintf("%s.%d.%d", name, s, i), Kind: graph.KindBasic, Work: work,
 			})
 		}
 		if s > 0 {

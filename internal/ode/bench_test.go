@@ -12,8 +12,8 @@ import (
 
 // Execution benchmarks of the solver hot loops: one iteration is one full
 // time step of the method on a world of goroutines, so allocs/op is the
-// per-timestep allocation bill of the collective-heavy inner loop (the
-// BENCH_exec.json acceptance metric). Regenerate with
+// per-timestep allocation bill of the collective-heavy inner loop. Run
+// with
 //
 //	go test -run '^$' -bench 'BenchmarkExec' -benchtime 200x -count 3 ./internal/ode
 

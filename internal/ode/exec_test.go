@@ -63,24 +63,35 @@ func TestExecStateIdenticalUnderInjectedFaults(t *testing.T) {
 	// error/panic/delay injection with retries must leave the trajectory
 	// byte-identical to the failure-free reference.
 	const n = 64
-	g := BuildPABGraph(n, 10, 4, 0, 4)
-	want := Reference(g, n)
-	sched := pabSchedule(t, g, 8)
-	w, _ := runtime.NewWorld(8)
-
 	pol := fault.DefaultPolicy()
 	pol.MaxRetries = 6
 	pol.BaseBackoff = 50 * time.Microsecond
-	for seed := int64(1); seed <= 3; seed++ {
-		inj := &fault.Injector{Seed: seed, PError: 0.10, PPanic: 0.05, PDelay: 0.05, Delay: 100 * time.Microsecond}
-		st := NewExecState(g, n)
-		rep, err := runtime.ExecuteCtx(context.Background(), w, sched, st.Body,
-			runtime.WithPolicy(pol), runtime.WithInjector(inj))
-		if err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, rep)
-		}
-		if err := CompareOutputs(want, st.Outputs()); err != nil {
-			t.Fatalf("seed %d: results diverged: %v\n%s", seed, err, rep)
+	for _, tc := range []struct {
+		name                 string
+		g                    *graph.Graph
+		seeds                []int64
+		perr, ppanic, pdelay float64
+	}{
+		{"pab", BuildPABGraph(n, 10, 4, 0, 4), []int64{1, 2, 3}, 0.10, 0.05, 0.05},
+		{"irk", BuildIRKGraph(n, 600, 4, 2, 4), []int64{3}, 0.05, 0.02, 0.05},
+	} {
+		want := Reference(tc.g, n)
+		sched := pabSchedule(t, tc.g, 8)
+		w, _ := runtime.NewWorld(8)
+		for _, seed := range tc.seeds {
+			inj := &fault.Injector{Seed: seed, PError: tc.perr, PPanic: tc.ppanic, PDelay: tc.pdelay, Delay: 100 * time.Microsecond}
+			st := NewExecState(tc.g, n)
+			rep, err := runtime.ExecuteCtx(context.Background(), w, sched, st.Body,
+				runtime.WithPolicy(pol), runtime.WithInjector(inj))
+			if err != nil {
+				t.Fatalf("%s seed %d: %v\n%s", tc.name, seed, err, rep)
+			}
+			if rep.Retries == 0 {
+				t.Fatalf("%s seed %d: no injected fault was retried\n%s", tc.name, seed, rep)
+			}
+			if err := CompareOutputs(want, st.Outputs()); err != nil {
+				t.Fatalf("%s seed %d: results diverged: %v\n%s", tc.name, seed, err, rep)
+			}
 		}
 	}
 }

@@ -139,8 +139,8 @@ func BuildUnrolledGraph(stages, chainLen, steps, n int, evalFlops float64) *grap
 // ScaledSolverGraph returns a BuildUnrolledGraph sized to approximately
 // `tasks` M-tasks, with a deterministic shape per scale: wide 100-stage
 // steps with 10-task chains at large scale, narrower 20x5 steps below 100k
-// tasks so small graphs still have several steps. Used by `mtaskbench
-// -plan -scale N` and the scaling benchmarks.
+// tasks so small graphs still have several steps. Used by the
+// BenchmarkPlanScaled* planning benchmarks and the execution benchmarks.
 func ScaledSolverGraph(tasks int) *graph.Graph {
 	stages, chainLen := 100, 10
 	if tasks < 100_000 {

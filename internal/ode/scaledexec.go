@@ -9,9 +9,9 @@ import (
 )
 
 // ScaledExecState gives the scaled planning graphs (BuildUnrolledGraph /
-// ScaledSolverGraph) runnable synthetic bodies, so `mtaskbench -exec
-// -scale N` can execute 100k+-task schedules end to end instead of only
-// planning them.
+// ScaledSolverGraph) runnable synthetic bodies, so 100k+-task schedules
+// can be executed end to end (the benchmark's lib-wavefront workload)
+// instead of only planned.
 //
 // Where ExecState carries a vector per task (a closure and an output
 // allocation each), the scaled body carries one scalar, so that dispatch is
@@ -74,16 +74,6 @@ func (st *ScaledExecState) Body(t *graph.Task) runtime.TaskFunc {
 // Outputs returns the live per-task output slab (indexed by task id; do
 // not read while an execution is running).
 func (st *ScaledExecState) Outputs() []float64 { return st.out }
-
-// Checksum folds the output slab into one comparable value (bitwise
-// deterministic: plain left-to-right summation in id order).
-func (st *ScaledExecState) Checksum() float64 {
-	sum := 0.0
-	for _, v := range st.out {
-		sum += v
-	}
-	return sum
-}
 
 // scaledValue is the deterministic task value: bounded (tanh keeps the
 // predecessor recursion from diverging over thousands of steps) and

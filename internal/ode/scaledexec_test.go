@@ -12,8 +12,8 @@ import (
 func TestScaledExecMatchesReference(t *testing.T) {
 	// The scaled synthetic bodies must reproduce the sequential reference
 	// bitwise under every executor mode — the same oracle discipline as
-	// the real solver graphs, at the shapes `mtaskbench -exec -scale`
-	// runs.
+	// the real solver graphs, at the shapes the lib-wavefront benchmark
+	// workload runs.
 	g := BuildUnrolledGraph(20, 5, 4, 64, 600) // 400 tasks
 	want := ScaledReference(g)
 	modes := map[string][]runtime.ExecOption{

@@ -7,8 +7,7 @@ import (
 
 // Execution-layer microbenchmarks: the per-operation cost of the collective
 // engine (barrier rounds, broadcast, allgather, reduction, exchange and
-// split) at several group sizes. These are the "before/after" probes of
-// BENCH_exec.json; regenerate with
+// split) at several group sizes. Run with
 //
 //	go test -run '^$' -bench 'BenchmarkExec' -benchtime 2000x -count 3 ./internal/runtime
 //

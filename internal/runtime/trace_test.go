@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -83,30 +85,60 @@ func TestExecuteCtxTrace(t *testing.T) {
 	}
 }
 
-// TestExecuteCtxTraceWavefront checks the dispatcher path records the
-// same per-rank surface (the acceptance smoke of mtaskbench -trace).
+// TestExecuteCtxTraceWavefront runs the imbalanced workload in layered
+// and in wavefront mode, each under its own recorder, exports both as one
+// Chrome trace and checks the decoded file: one process per mode, and on
+// every rank track of each, task spans, barrier-wait spans and collective
+// counter samples.
 func TestExecuteCtxTraceWavefront(t *testing.T) {
 	const p, layers = 4, 3
 	sched := ImbalancedWorkload(p, layers)
 	body := ImbalancedBody(time.Millisecond, 100*time.Microsecond)
-	w, _ := NewWorld(p)
-	rec := obs.New(p)
-	rep, err := ExecuteCtx(context.Background(), w, sched, body, WithWavefront(), WithRecorder(rec))
-	if err != nil {
-		t.Fatalf("%v\n%s", err, rep)
-	}
-	for rank := 0; rank < p; rank++ {
-		var tasks, barriers int
-		for _, ev := range rec.RankEvents(rank) {
-			if ev.Kind == obs.KindSpan && ev.Cat == "task" {
-				tasks++
-			}
-			if ev.Kind == obs.KindSpan && ev.Cat == "barrier" {
-				barriers++
-			}
+	var recs []*obs.Recorder
+	for _, mode := range execModes {
+		w, _ := NewWorld(p)
+		rec := obs.New(p, obs.WithName(mode.name))
+		rep, err := ExecuteCtx(context.Background(), w, sched, body, append(mode.opts, WithRecorder(rec))...)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", mode.name, err, rep)
 		}
-		if tasks != layers || barriers != layers {
-			t.Errorf("rank %d: %d task / %d barrier spans, want %d each", rank, tasks, barriers, layers)
+		recs = append(recs, rec)
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteChrome(&buf, recs...); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Ph  string `json:"ph"`
+			Cat string `json:"cat"`
+			Pid int    `json:"pid"`
+			Tid int    `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatalf("chrome trace does not decode: %v", err)
+	}
+	type track struct{ pid, tid int }
+	tasks, barriers, counters := map[track]int{}, map[track]int{}, map[track]int{}
+	for _, ev := range trace.TraceEvents {
+		tr := track{ev.Pid, ev.Tid}
+		switch {
+		case ev.Ph == "X" && ev.Cat == "task":
+			tasks[tr]++
+		case ev.Ph == "X" && ev.Cat == "barrier":
+			barriers[tr]++
+		case ev.Ph == "C":
+			counters[tr]++
+		}
+	}
+	for pi, mode := range execModes {
+		for rank := 0; rank < p; rank++ {
+			tr := track{pi + 1, rank + 1} // pid = recorder index + 1, tid = rank + 1
+			if tasks[tr] != layers || barriers[tr] != layers || counters[tr] == 0 {
+				t.Errorf("%s rank %d: %d task / %d barrier spans, %d counter samples; want %d, %d and > 0",
+					mode.name, rank, tasks[tr], barriers[tr], counters[tr], layers, layers)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -438,18 +439,48 @@ func TestWavefrontDispatchAllocFree(t *testing.T) {
 	}
 }
 
+// liveGoroutines counts the live goroutines in a stop-the-world dump of
+// every stack: exact, unlike runtime.NumGoroutine (see
+// TestWavefrontPeakGoroutinesConstant), but far too slow to sample on
+// every task.
+func liveGoroutines() int {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return 1 + bytes.Count(buf[:n], []byte("\n\ngoroutine "))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
 func TestWavefrontPeakGoroutinesConstant(t *testing.T) {
 	// The scaling gate: a pass runs P workers, whatever its width, so the
 	// peak goroutine count must be O(P) — not O(in-flight tasks × group
 	// size) like a dispatcher that spawns per task or per attempt.
+	//
+	// runtime.NumGoroutine is cheap but can read up to 32 too high: it is
+	// allglen minus the free-list counts, and the runtime moves dead
+	// goroutines from a P's free list to the global one in batches of 32,
+	// decrementing one count before incrementing the other. Layered mode
+	// starts and joins P workers per layer, so it triggers those moves
+	// all the time. A sample above the bound is therefore confirmed with
+	// an exact stop-the-world count, and the exact number is recorded; a
+	// real per-task or per-attempt leak still fails. Parking the workers
+	// between passes (ROADMAP item 1(d)) would remove the churn itself.
 	const P = 8
 	sched := gridSchedule(P, 200, 1)
 	for _, mode := range execModes {
 		w, _ := NewWorld(P)
 		var peak atomic.Int64
+		baseline := liveGoroutines()
+		bound := int64(baseline + P + 4)
 		body := func(task *graph.Task) TaskFunc {
 			return func(tc *TaskCtx) error {
 				n := int64(runtime.NumGoroutine())
+				if n > bound {
+					n = int64(liveGoroutines())
+				}
 				for {
 					pk := peak.Load()
 					if n <= pk || peak.CompareAndSwap(pk, n) {
@@ -458,7 +489,6 @@ func TestWavefrontPeakGoroutinesConstant(t *testing.T) {
 				}
 			}
 		}
-		baseline := runtime.NumGoroutine()
 		if _, err := ExecuteCtx(context.Background(), w, sched, body, append(mode.opts, WithoutTimeline())...); err != nil {
 			t.Fatal(err)
 		}

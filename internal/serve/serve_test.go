@@ -231,59 +231,73 @@ func TestHealthAndMetricz(t *testing.T) {
 	}
 }
 
-// TestConcurrentRequestsCoalesce hammers one fingerprint from many
-// clients concurrently and checks the singleflight contract at the HTTP
-// boundary: every response is 200 with the identical makespan, and
-// exactly one cold plan ran — everything else was a cache hit or a
-// coalesced follower. Run under -race.
+// TestConcurrentRequestsCoalesce hammers one and four fingerprints from
+// many clients concurrently and checks the singleflight contract at the
+// HTTP boundary: every response is 200, all responses for one fingerprint
+// carry the identical makespan, and exactly one cold plan ran per
+// fingerprint — everything else was a cache hit or a coalesced follower.
+// The fingerprints differ in ForceGroups, so each is its own plan family
+// and none can be served incrementally. Run under -race.
 func TestConcurrentRequestsCoalesce(t *testing.T) {
-	s := New()
-	h := s.Handler()
-	body := testRequestBody(t, 4, PlanOptions{})
+	for _, fingerprints := range []int{1, 4} {
+		s := New()
+		h := s.Handler()
+		bodies := make([][]byte, fingerprints)
+		for i := range bodies {
+			bodies[i] = testRequestBody(t, 4, PlanOptions{ForceGroups: i})
+		}
 
-	const clients = 64
-	var (
-		start sync.WaitGroup
-		done  sync.WaitGroup
-		mu    sync.Mutex
-		spans = map[float64]int{}
-		fails []string
-	)
-	start.Add(1)
-	done.Add(clients)
-	for i := 0; i < clients; i++ {
-		go func() {
-			defer done.Done()
-			start.Wait()
-			w := post(h, "/v1/plan", body, "")
-			mu.Lock()
-			defer mu.Unlock()
-			if w.Code != http.StatusOK {
-				fails = append(fails, w.Body.String())
-				return
-			}
-			var resp PlanResponse
-			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-				fails = append(fails, err.Error())
-				return
-			}
-			spans[resp.Makespan]++
-		}()
-	}
-	start.Done()
-	done.Wait()
+		const clients = 64
+		var (
+			start sync.WaitGroup
+			done  sync.WaitGroup
+			mu    sync.Mutex
+			spans = make([]map[float64]int, fingerprints)
+			fails []string
+		)
+		for i := range spans {
+			spans[i] = map[float64]int{}
+		}
+		start.Add(1)
+		done.Add(clients)
+		for c := 0; c < clients; c++ {
+			go func(fp int) {
+				defer done.Done()
+				start.Wait()
+				w := post(h, "/v1/plan", bodies[fp], "")
+				mu.Lock()
+				defer mu.Unlock()
+				if w.Code != http.StatusOK {
+					fails = append(fails, w.Body.String())
+					return
+				}
+				var resp PlanResponse
+				if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+					fails = append(fails, err.Error())
+					return
+				}
+				spans[fp][resp.Makespan]++
+			}(c % fingerprints)
+		}
+		start.Done()
+		done.Wait()
 
-	if len(fails) > 0 {
-		t.Fatalf("%d failures, first: %s", len(fails), fails[0])
-	}
-	if len(spans) != 1 {
-		t.Fatalf("responses disagree on the makespan: %v", spans)
-	}
-	m := s.Metrics()
-	if m["serve.plans_cold"] != 1 {
-		t.Fatalf("serve.plans_cold = %d, want exactly 1", m["serve.plans_cold"])
-	}
-	if m["serve.coalesced"]+m["serve.cache_hits"] != clients-1 {
-		t.Fatalf("coalesced %d + cache hits %d != %d", m["serve.coalesced"], m["serve.cache_hits"], clients-1)
+		if len(fails) > 0 {
+			t.Fatalf("%d fingerprints: %d failures, first: %s", fingerprints, len(fails), fails[0])
+		}
+		for fp, ms := range spans {
+			if len(ms) != 1 {
+				t.Fatalf("%d fingerprints: responses for fingerprint %d disagree on the makespan: %v", fingerprints, fp, ms)
+			}
+		}
+		m := s.Metrics()
+		if m["serve.plans_cold"] != int64(fingerprints) || m["serve.plans_incremental"] != 0 {
+			t.Fatalf("%d fingerprints: serve.plans_cold = %d, serve.plans_incremental = %d; want exactly one cold plan per fingerprint",
+				fingerprints, m["serve.plans_cold"], m["serve.plans_incremental"])
+		}
+		if m["serve.coalesced"]+m["serve.cache_hits"] != int64(clients-fingerprints) {
+			t.Fatalf("%d fingerprints: coalesced %d + cache hits %d != %d",
+				fingerprints, m["serve.coalesced"], m["serve.cache_hits"], clients-fingerprints)
+		}
 	}
 }
