@@ -5,8 +5,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"strings"
 
 	"mtask"
 	"mtask/internal/cluster"
@@ -114,7 +116,7 @@ func main() {
 	activations := make(map[string]int)
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
-	err = runtime.ExecuteHierarchical(w, hs, func(t *graph.Task) runtime.TaskFunc {
+	rep, err := runtime.ExecuteHierarchicalCtx(context.Background(), w, hs, func(t *graph.Task) runtime.TaskFunc {
 		return func(ctx *runtime.TaskCtx) error {
 			if ctx.Group.Rank() == 0 {
 				<-mu
@@ -138,4 +140,12 @@ func main() {
 		}
 	}
 	fmt.Printf("  micro-step activations: %d (R(R+1)/2 = 10 per iteration)\n", micro)
+	// Every loop-body task leaves a span named "<while>[<trip>]/<task>".
+	inner := 0
+	for _, s := range rep.Spans {
+		if strings.Contains(s.Name, "]/") {
+			inner++
+		}
+	}
+	fmt.Printf("  inner task spans:       %d (combine + micro-step activations)\n", inner)
 }

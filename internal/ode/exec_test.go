@@ -48,8 +48,8 @@ func TestExecStateMatchesReference(t *testing.T) {
 			sched := pabSchedule(t, g, P)
 			w, _ := runtime.NewWorld(P)
 			st := NewExecState(g, n)
-			if err := runtime.Execute(w, sched, st.Body); err != nil {
-				t.Fatalf("%s on %d cores: %v", name, P, err)
+			if rep, err := runtime.ExecuteCtx(context.Background(), w, sched, st.Body); err != nil {
+				t.Fatalf("%s on %d cores: %v\n%s", name, P, err, rep)
 			}
 			if err := CompareOutputs(want, st.Outputs()); err != nil {
 				t.Fatalf("%s on %d cores: %v", name, P, err)

@@ -57,6 +57,13 @@ type execConfig struct {
 	wavefront  bool
 	noTimeline bool
 	rec        *obs.Recorder
+
+	// The level of the hierarchy this configuration runs: prefix
+	// namespaces its task names ("" at the top level, "<composed>[<trip>]/"
+	// inside a composed task) and ranks are the world ranks of its
+	// symbolic ranks (nil for the identity).
+	prefix string
+	ranks  []int
 }
 
 // ExecOption configures ExecuteCtx / ExecuteHierarchicalCtx.
@@ -136,8 +143,8 @@ const defaultAbandonGrace = time.Second
 // attempts when their layer finishes.
 var errLayerDone = errors.New("runtime: layer execution finished")
 
-// ExecuteCtx is the fault-tolerant variant of Execute. Beyond running the
-// layered schedule it:
+// ExecuteCtx runs a layered schedule on the world; body maps each original
+// task to its SPMD implementation (a task without one is an error). It:
 //
 //   - recovers panics in task bodies into errors with stack capture
 //     (a panicking body never crashes the process);
@@ -148,7 +155,8 @@ var errLayerDone = errors.New("runtime: layer execution finished")
 //     observes the caller's ctx between attempts and through
 //     TaskCtx.Ctx (at once, like a timeout, when the policy sets a
 //     deadline; see wfDispatcher);
-//   - aggregates per-rank errors with errors.Join;
+//   - joins the failures of a pass with errors.Join, one
+//     "layer L group G: ..." entry per failed task in schedule order;
 //   - retries failed tasks per the policy (exponential backoff with
 //     deterministic jitter), re-running the whole group attempt;
 //   - on exhausted retries with DegradeAndReplan enabled, marks the
@@ -170,31 +178,32 @@ func ExecuteCtx(ctx context.Context, w *World, sched *core.Schedule, body func(t
 	opts ...ExecOption) (*Report, error) {
 
 	cfg := newExecConfig(opts)
-	rep := NewReport()
-	if cfg.noTimeline {
-		rep.lean = true
+	resched := cfg.replan
+	if resched == nil {
+		resched = noReplan
 	}
-	if sched != nil {
-		rep.begin(sched.P)
-		rep.presizeSpans(sched.Source.Len())
-	}
-	start := time.Now()
-	err := runLayered(ctx, w, sched, body, cfg, rep, func(rctx context.Context, survivors int) (*core.Schedule, error) {
-		if cfg.replan == nil {
-			return nil, nil
-		}
-		return cfg.replan(rctx, survivors)
-	})
-	rep.mu.Lock()
-	rep.Wall = time.Since(start)
-	rep.mu.Unlock()
-	return rep, err
+	return execute(ctx, w, sched, body, cfg, NewReport(), resched)
 }
 
-// ExecuteHierarchicalCtx is the fault-tolerant variant of
-// ExecuteHierarchical: leaf tasks and composed tasks (each composed body
-// runs as one unit on its group) get the panic isolation, timeouts and
-// retries of ExecuteCtx. Degrade-and-replan uses the
+// ExecuteHierarchicalCtx runs a hierarchical schedule: basic tasks run as
+// in ExecuteCtx, and a composed task (e.g. a while loop) runs its
+// recursively scheduled body repeatedly on its group's cores, through the
+// same dispatcher as the top level. Inner tasks therefore get the retries,
+// panic isolation, fault injection, spans and trace events of top-level
+// tasks, under the names "<composed>[<trip>]/<inner>" (nesting composes
+// the names); a composed task's own span stays in the Report but its core
+// time is counted through its inner spans, and Report.Layers counts
+// top-level layers only. Inner bodies see a poisoned TaskCtx.Global (see
+// ErrGlobalInWavefront). An inner failure the policy cannot absorb fails
+// the composed task's attempt, which the policy may retry as a whole.
+//
+// The iterations function returns whether a composed task runs another
+// trip, given the number of trips done: it is called once per trip and
+// once more to stop, by rank 0 of the composed task's group, before the
+// trip's tasks start — so a callback that keeps state sees one call
+// sequence per composed attempt, and a data-dependent while loop may
+// inspect state the previous trip's bodies wrote. A nil iterations runs
+// every composed body once. Degrade-and-replan of the top level uses the
 // HierarchicalReplanner, which recomputes the sub-schedules for the new
 // group sizes.
 func ExecuteHierarchicalCtx(ctx context.Context, w *World, hs *core.HierarchicalSchedule,
@@ -203,15 +212,9 @@ func ExecuteHierarchicalCtx(ctx context.Context, w *World, hs *core.Hierarchical
 
 	cfg := newExecConfig(opts)
 	rep := NewReport()
-	if cfg.noTimeline {
-		rep.lean = true
-	}
-	rep.begin(hs.Top.P)
-	rep.presizeSpans(hs.Top.Source.Len())
-
 	// The composed bodies follow the hierarchy in force; replans happen
 	// between passes, when no leader is resolving a body.
-	bodies := composedBodies(hs, body, iterations)
+	bodies := composedBodies(hs, body, iterations, w, cfg, rep)
 	wrapped := func(t *graph.Task) TaskFunc { return bodies(t) }
 	resched := func(rctx context.Context, survivors int) (*core.Schedule, error) {
 		if cfg.hreplan == nil {
@@ -221,12 +224,27 @@ func ExecuteHierarchicalCtx(ctx context.Context, w *World, hs *core.Hierarchical
 		if err != nil {
 			return nil, err
 		}
-		bodies = composedBodies(nhs, body, iterations)
+		bodies = composedBodies(nhs, body, iterations, w, cfg, rep)
 		return nhs.Top, nil
 	}
+	return execute(ctx, w, hs.Top, wrapped, cfg, rep, resched)
+}
 
+// noReplan is the Replanner of an execution without one: escalations
+// surface the failure.
+func noReplan(context.Context, int) (*core.Schedule, error) { return nil, nil }
+
+// execute runs sched under cfg into the fresh rep, timing the run.
+func execute(ctx context.Context, w *World, sched *core.Schedule, body func(t *graph.Task) TaskFunc,
+	cfg *execConfig, rep *Report, resched Replanner) (*Report, error) {
+
+	rep.lean = cfg.noTimeline
+	if sched != nil {
+		rep.begin(sched.P)
+		rep.presizeSpans(sched.Source.Len())
+	}
 	start := time.Now()
-	err := runLayered(ctx, w, hs.Top, wrapped, cfg, rep, resched)
+	err := runLayered(ctx, w, sched, body, cfg, rep, resched)
 	rep.mu.Lock()
 	rep.Wall = time.Since(start)
 	rep.mu.Unlock()
@@ -367,51 +385,52 @@ func runScheduledTask(ctx context.Context, w *World, sched *core.Schedule, td *c
 	}
 	for _, src := range srcs {
 		t := sched.Source.Task(src)
+		name := cfg.prefix + t.Name // "" + name does not allocate
 		fn := body(t)
 		if fn == nil {
-			return fmt.Errorf("runtime: no body for task %q", t.Name), false
+			return fmt.Errorf("runtime: no body for task %q", name), false
 		}
 		retries := 0
 		for {
 			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("runtime: task %q: %w", t.Name, err), false
+				return fmt.Errorf("runtime: task %q: %w", name, err), false
 			}
-			attempt := rep.startAttempt(t.Name)
+			attempt := rep.startAttempt(name)
 			tstart := rep.since()
 			var aerr error
 			if coop != nil {
-				aerr = coop.coopAttempt(t, fn, attempt, td)
+				aerr = coop.coopAttempt(t, name, fn, attempt, td)
 			} else {
-				aerr = runAttempt(ctx, w, t, fn, attempt, td, global, cfg, rep)
+				aerr = runAttempt(ctx, w, t, name, fn, attempt, td, global, cfg, rep)
 			}
 			if aerr == nil {
-				rep.addSpan(t.Name, td.Layer, int(td.Group), td.Hi-td.Lo, tstart, rep.since())
+				rep.addSpan(name, td.Layer, int(td.Group), td.Hi-td.Lo, tstart, rep.since(), t.Kind == graph.KindComposed)
 				break
 			}
-			rep.failed(t.Name)
-			cfg.rec.Instant("fail:"+t.Name, "fault", obs.ControlRank, cfg.rec.Now())
+			rep.failed(name)
+			cfg.rec.Instant("fail:"+name, "fault", obs.ControlRank, cfg.rec.Now())
 			if ctx.Err() != nil {
 				// Layer timeout or caller cancellation: not a core
 				// failure, do not escalate to degrade-and-replan.
-				return fmt.Errorf("runtime: task %q: %w", t.Name, aerr), false
+				return fmt.Errorf("runtime: task %q: %w", name, aerr), false
 			}
 			if errors.Is(aerr, ErrGlobalInWavefront) {
-				// A body touched TaskCtx.Global in wavefront mode: a
-				// programming error, not a fault — fail fast without
-				// retries or core-loss escalation.
-				return fmt.Errorf("runtime: task %q: %w", t.Name, aerr), false
+				// A body touched a poisoned TaskCtx.Global: a programming
+				// error, not a fault — fail fast without retries or
+				// core-loss escalation.
+				return fmt.Errorf("runtime: task %q: %w", name, aerr), false
 			}
 			if !cfg.policy.Retryable(aerr) || retries >= cfg.policy.MaxRetries {
 				if cfg.policy.OnExhausted != nil {
-					cfg.policy.OnExhausted(t.Name, attempt, aerr)
+					cfg.policy.OnExhausted(name, attempt, aerr)
 				}
-				return fmt.Errorf("runtime: task %q failed after %d attempt(s): %w", t.Name, attempt, aerr), true
+				return fmt.Errorf("runtime: task %q failed after %d attempt(s): %w", name, attempt, aerr), true
 			}
 			retries++
-			rep.retried(t.Name)
-			cfg.rec.Instant("retry:"+t.Name, "fault", obs.ControlRank, cfg.rec.Now())
+			rep.retried(name)
+			cfg.rec.Instant("retry:"+name, "fault", obs.ControlRank, cfg.rec.Now())
 			cfg.rec.Counter("fault.retries").Add(1)
-			if d := cfg.policy.Backoff(t.Name, retries); d > 0 {
+			if d := cfg.policy.Backoff(name, retries); d > 0 {
 				timer := time.NewTimer(d)
 				select {
 				case <-timer.C:
@@ -431,15 +450,11 @@ func runScheduledTask(ctx context.Context, w *World, sched *core.Schedule, td *c
 // per-attempt deadline. On timeout the communicator is aborted and, if the
 // attempt still does not settle within the abandon grace, its goroutines
 // are abandoned (their errors are no longer read — no data race).
-func runAttempt(parent context.Context, w *World, t *graph.Task, fn TaskFunc, attempt int,
+func runAttempt(parent context.Context, w *World, t *graph.Task, name string, fn TaskFunc, attempt int,
 	td *core.TaskDeps, global *lazyGlobal, cfg *execConfig, rep *Report) error {
 
 	lo, size := td.Lo, td.Hi-td.Lo
-	ranks := make([]int, size)
-	for i := range ranks {
-		ranks[i] = lo + i
-	}
-	gsh := newCommShared(Group, ranks, &w.Stats, cfg.rec)
+	gsh := newCommShared(Group, global.ranks[lo:lo+size], &w.Stats, cfg.rec)
 
 	actx := parent
 	var cancel context.CancelFunc
@@ -465,7 +480,7 @@ func runAttempt(parent context.Context, w *World, t *graph.Task, fn TaskFunc, at
 					Layer:      td.Layer,
 					GroupIndex: int(td.Group),
 					Ctx:        actx,
-				}, fn, attempt, gsh, cfg)
+				}, name, fn, attempt, gsh, cfg)
 			}(r)
 		}
 		wg.Wait()
@@ -474,44 +489,43 @@ func runAttempt(parent context.Context, w *World, t *graph.Task, fn TaskFunc, at
 
 	select {
 	case <-done:
-		err := settleAttempt(t, rep, errs)
+		err := settleAttempt(name, rep, errs)
 		gsh.release() // attempt settled: no goroutine holds the comm anymore
 		return err
 	case <-actx.Done():
 		cause := actx.Err()
-		gsh.abort(fmt.Errorf("task %q attempt %d: %w", t.Name, attempt, cause))
+		gsh.abort(fmt.Errorf("task %q attempt %d: %w", name, attempt, cause))
 		timer := time.NewTimer(cfg.grace)
 		defer timer.Stop()
 		select {
 		case <-done:
-			_ = settleAttempt(t, rep, errs) // count panics; timeout is the primary error
+			_ = settleAttempt(name, rep, errs) // count panics; timeout is the primary error
 			gsh.release()
-			return fmt.Errorf("task %q attempt %d: %w", t.Name, attempt, cause)
+			return fmt.Errorf("task %q attempt %d: %w", name, attempt, cause)
 		case <-timer.C:
 			// Abandoned: the attempt's goroutines may still be running, so
 			// errs must not be read. Bodies blocked in collectives have
 			// been released by the abort; only pure computation can hang.
-			return fmt.Errorf("task %q attempt %d abandoned after %v grace: %w", t.Name, attempt, cfg.grace, cause)
+			return fmt.Errorf("task %q attempt %d abandoned after %v grace: %w", name, attempt, cfg.grace, cause)
 		}
 	}
 }
 
-// runRankAttempt executes one rank's share of one group attempt: the
-// injector consult, the body call, panic recovery (*PanicError) with
-// *AbortError classification, the communicator abort on failure and the
-// per-rank attempt span. It is shared by runAttempt, which runs it on a
-// fresh goroutine per rank, and by the rank workers, which call it in
-// place with reused TaskCtx scratch. tc must be fully populated and its
-// Group handle must resolve to gsh.
-func runRankAttempt(tc *TaskCtx, fn TaskFunc, attempt int, gsh *commShared, cfg *execConfig) (err error) {
-	t := tc.Task
+// runRankAttempt executes one rank's share of one group attempt of the
+// task named name: the injector consult, the body call, panic recovery
+// (*PanicError) with *AbortError classification, the communicator abort on
+// failure and the per-rank attempt span. It is shared by runAttempt, which
+// runs it on a fresh goroutine per rank, and by the rank workers, which
+// call it in place with reused TaskCtx scratch. tc must be fully populated
+// and its Group handle must resolve to gsh.
+func runRankAttempt(tc *TaskCtx, name string, fn TaskFunc, attempt int, gsh *commShared, cfg *execConfig) (err error) {
 	r := tc.Group.rank
 	if cfg.rec != nil {
 		tstart := cfg.rec.Now()
 		// Record the attempt span in the defer so panicking and aborted
 		// attempts leave their partial span too.
 		defer func() {
-			cfg.rec.Span(t.Name, "task", gsh.ranks[r], tc.Layer, tc.GroupIndex, tstart, cfg.rec.Now())
+			cfg.rec.Span(name, "task", gsh.ranks[r], tc.Layer, tc.GroupIndex, tstart, cfg.rec.Now())
 		}()
 	}
 	defer func() {
@@ -526,7 +540,7 @@ func runRankAttempt(tc *TaskCtx, fn TaskFunc, attempt int, gsh *commShared, cfg 
 			gsh.abort(err) // release peers blocked in group collectives
 		}
 	}()
-	if f := cfg.injector.Decide(t.Name, attempt, r); f != nil {
+	if f := cfg.injector.Decide(name, attempt, r); f != nil {
 		switch f.Kind {
 		case fault.Delay:
 			timer := time.NewTimer(f.Delay)
@@ -539,7 +553,7 @@ func runRankAttempt(tc *TaskCtx, fn TaskFunc, attempt int, gsh *commShared, cfg 
 		case fault.Error, fault.CoreLoss:
 			return f.Err
 		case fault.Panic:
-			panic(fmt.Sprintf("fault: injected panic in task %q (attempt %d, rank %d)", t.Name, attempt, r))
+			panic(fmt.Sprintf("fault: injected panic in task %q (attempt %d, rank %d)", name, attempt, r))
 		}
 	}
 	return fn(tc)
@@ -549,7 +563,7 @@ func runRankAttempt(tc *TaskCtx, fn TaskFunc, attempt int, gsh *commShared, cfg 
 // recovered panics are counted, communicator aborts are secondary (they
 // are the echo of the originating failure) and all real errors are joined
 // in rank order.
-func settleAttempt(t *graph.Task, rep *Report, errs []error) error {
+func settleAttempt(name string, rep *Report, errs []error) error {
 	var real, aborts []error
 	panics := 0
 	for r, err := range errs {
@@ -572,7 +586,7 @@ func settleAttempt(t *graph.Task, rep *Report, errs []error) error {
 		}
 		real = append(real, fmt.Errorf("rank %d: %w", r, err))
 	}
-	rep.addPanics(t.Name, panics)
+	rep.addPanics(name, panics)
 	if len(real) > 0 {
 		return errors.Join(real...)
 	}

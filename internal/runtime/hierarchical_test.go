@@ -1,0 +1,363 @@
+package runtime
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"mtask/internal/arch"
+	"mtask/internal/core"
+	"mtask/internal/cost"
+	"mtask/internal/fault"
+	"mtask/internal/graph"
+)
+
+// scheduleHierarchical schedules a hierarchical graph on P symbolic cores
+// of a CHiC subset.
+func scheduleHierarchical(t *testing.T, g *graph.Graph, P int) *core.HierarchicalSchedule {
+	t.Helper()
+	model := &cost.Model{Machine: arch.CHiC().Subset(2)}
+	hs, err := (&core.Scheduler{Model: model}).ScheduleHierarchical(g, P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hs
+}
+
+// loopOf wraps body in a one-node top-level graph: a composed task named
+// name whose body graph is body.
+func loopOf(name string, body *graph.Graph) *graph.Graph {
+	top := graph.New(name)
+	top.AddTask(&graph.Task{Name: name, Kind: graph.KindComposed, Sub: body, Work: body.TotalWork()})
+	top.AddStartStop()
+	return top
+}
+
+// iterSchedule is a composed task "iter" running a one-task body "step" on
+// all 4 cores.
+func iterSchedule(t *testing.T) *core.HierarchicalSchedule {
+	t.Helper()
+	inner := graph.New("body")
+	inner.AddTask(&graph.Task{Name: "step", Kind: graph.KindBasic, Work: 1e5})
+	inner.AddStartStop()
+	hs := scheduleHierarchical(t, loopOf("iter", inner), 4)
+	if q := coresOf(t, hs.Top, "iter"); q != 4 {
+		t.Fatalf("iter runs on %d cores, want 4", q)
+	}
+	return hs
+}
+
+// barrierBody is a group-collective body doing no work.
+func barrierBody(*graph.Task) TaskFunc {
+	return func(tc *TaskCtx) error { tc.Group.Barrier(); return nil }
+}
+
+// trips returns an iterations callback running every composed task n
+// times.
+func trips(n int) func(*graph.Task, int) bool {
+	return func(_ *graph.Task, done int) bool { return done < n }
+}
+
+// innerSpans returns the spans of trip `trip` of the composed task named
+// composed, with the "<composed>[<trip>]/" prefix stripped, from the
+// attempt of the composed task that succeeded: the inner spans of a failed
+// attempt all ended before the successful attempt started.
+func innerSpans(t *testing.T, rep *Report, composed string, trip int) []TaskSpan {
+	t.Helper()
+	var outer *TaskSpan
+	for i, s := range rep.Spans {
+		if s.Name == composed {
+			if outer != nil {
+				t.Fatalf("composed task %q has two successful spans", composed)
+			}
+			outer = &rep.Spans[i]
+		}
+	}
+	if outer == nil || !outer.Composed {
+		t.Fatalf("composed task %q has no span marked Composed", composed)
+	}
+	prefix := fmt.Sprintf("%s[%d]/", composed, trip)
+	var inner []TaskSpan
+	for _, s := range rep.Spans {
+		if strings.HasPrefix(s.Name, prefix) && s.Start >= outer.Start {
+			if s.End > outer.End {
+				t.Fatalf("inner span %q ends at %v, after its composed task (%v)", s.Name, s.End, outer.End)
+			}
+			s.Name = strings.TrimPrefix(s.Name, prefix)
+			inner = append(inner, s)
+		}
+	}
+	return inner
+}
+
+func TestPropertyHierarchicalMatchesSequential(t *testing.T) {
+	// The differential property one level down: random inner DAGs inside
+	// a while node next to a sibling task, in both pass widths, with and
+	// without injected faults. Outputs must be bitwise identical to the
+	// sequential reference recursing into the composed task; the top-level
+	// spans and every trip's inner spans must each pass the execution
+	// checks against their own schedule; Report.Layers counts top-level
+	// layers; and busy core-time fits in P×Wall. With cooperative attempts
+	// the peak goroutine count is the P top-level workers plus the q
+	// workers of the while group; a policy deadline (DefaultPolicy's
+	// TaskTimeout) spawns goroutines per attempt instead, at both levels.
+	rng := rand.New(rand.NewSource(5))
+	spawned := fault.DefaultPolicy()
+	spawned.MaxRetries = 20
+	spawned.BaseBackoff = 50 * time.Microsecond
+	spawned.MaxBackoff = time.Millisecond // a composed retry re-runs the whole loop
+	coop := spawned
+	coop.TaskTimeout = 0
+	faults := []struct {
+		name   string
+		pol    *fault.Policy
+		spawns bool
+	}{{"no faults", nil, false}, {"faults", &coop, false}, {"faults, spawned attempts", &spawned, true}}
+	for trial := 0; trial < 6; trial++ {
+		P := []int{4, 6, 8}[trial%3]
+		inner := randomExecDAG(rng)
+		top := graph.New("top")
+		init := top.AddBasic("init", 1e6)
+		loop := top.AddTask(&graph.Task{Name: "while", Kind: graph.KindComposed, Sub: inner, Work: inner.TotalWork()})
+		side := top.AddBasic("side", 1e6*(1+9*rng.Float64()))
+		fini := top.AddBasic("fini", 1e6)
+		top.MustEdge(init, loop, 8)
+		top.MustEdge(init, side, 8)
+		top.MustEdge(loop, fini, 8)
+		top.MustEdge(side, fini, 8)
+		hs := scheduleHierarchical(t, top, P)
+		var sub *core.HierarchicalSchedule
+		for _, s := range hs.Sub {
+			sub = s // the only composed task: the while node
+		}
+		q := coresOf(t, hs.Top, "while")
+		innerTask := make(map[*graph.Task]bool)
+		for _, task := range inner.Tasks() {
+			innerTask[task] = true
+		}
+		n := 1 + rng.Intn(3)
+
+		// The iterations callback announces the trip; inner bodies record
+		// under it, so a task run in the wrong trip shows in the outputs.
+		var trip atomic.Int64
+		iterations := func(_ *graph.Task, done int) bool {
+			trip.Store(int64(done))
+			return done < n
+		}
+		body := func(out *sync.Map, probe func()) func(*graph.Task) TaskFunc {
+			outer := recordingBody(out)
+			return func(task *graph.Task) TaskFunc {
+				if !innerTask[task] {
+					return outer(task)
+				}
+				return func(tc *TaskCtx) error {
+					probe()
+					keyed := &graph.Task{Name: fmt.Sprintf("%s@%d", task.Name, trip.Load())}
+					return outer(keyed)(tc)
+				}
+			}
+		}
+
+		for _, fc := range faults {
+			var opts []ExecOption
+			if fc.pol != nil {
+				inj := &fault.Injector{Seed: int64(trial + 1), PError: 0.04, PPanic: 0.02, PDelay: 0.05, Delay: 100 * time.Microsecond}
+				opts = []ExecOption{WithPolicy(*fc.pol), WithInjector(inj)}
+			}
+			var refOut sync.Map
+			rrep := referenceHierarchical(t, hs, body(&refOut, func() {}), iterations, opts...)
+			ref := recordings(&refOut)
+			for _, mode := range execModes {
+				w, _ := NewWorld(P)
+				var out sync.Map
+				var peak atomic.Int64
+				baseline := liveGoroutines()
+				probe := func() {
+					if fc.spawns {
+						return
+					}
+					// Confirm a high NumGoroutine sample with exact counts
+					// (see TestWavefrontPeakGoroutinesConstant), the second
+					// one after a worker of a joined pass had time to exit.
+					n := int64(runtime.NumGoroutine())
+					for i := 0; n > int64(baseline+P+q) && i < 2; i++ {
+						if i > 0 {
+							time.Sleep(time.Millisecond)
+						}
+						n = int64(liveGoroutines())
+					}
+					for pk := peak.Load(); n > pk && !peak.CompareAndSwap(pk, n); pk = peak.Load() {
+					}
+				}
+				rep, err := ExecuteHierarchicalCtx(context.Background(), w, hs, body(&out, probe), iterations,
+					append(opts, mode.opts...)...)
+				if err != nil {
+					t.Fatalf("trial %d, %s, %s: %v\n%s", trial, mode.name, fc.name, err, rep)
+				}
+				compareBitwise(t, ref, recordings(&out))
+				if rep.Retries != rrep.Retries || rep.Panics != rrep.Panics {
+					t.Fatalf("trial %d, %s, %s: retries/panics = %d/%d, reference %d/%d",
+						trial, mode.name, fc.name, rep.Retries, rep.Panics, rrep.Retries, rrep.Panics)
+				}
+				var topSpans []TaskSpan
+				for _, s := range rep.Spans {
+					if !strings.Contains(s.Name, "/") {
+						topSpans = append(topSpans, s)
+					}
+				}
+				checkSpans(t, hs.Top, 0, len(hs.Top.Layers), topSpans, mode.layered)
+				for k := 0; k < n; k++ {
+					checkSpans(t, sub.Top, 0, len(sub.Top.Layers), innerSpans(t, rep, "while", k), mode.layered)
+				}
+				if rep.Layers != len(hs.Top.Layers) {
+					t.Fatalf("trial %d, %s: Report.Layers = %d, want %d top-level layers",
+						trial, mode.name, rep.Layers, len(hs.Top.Layers))
+				}
+				if busy, _, _ := rep.Utilization(); busy > time.Duration(P)*rep.Wall {
+					t.Fatalf("trial %d, %s: busy %v above P×Wall = %v", trial, mode.name, busy, time.Duration(P)*rep.Wall)
+				}
+				if extra := int(peak.Load()) - baseline; extra > P+q {
+					t.Fatalf("trial %d, %s, %s: %d extra goroutines, want at most P+q = %d", trial, mode.name, fc.name, extra, P+q)
+				}
+			}
+		}
+	}
+}
+
+func TestHierarchicalInnerFaultRetriesInnerTask(t *testing.T) {
+	// A fault scripted on one trip of an inner task retries that task
+	// inside the loop; the composed task runs once.
+	hs := iterSchedule(t)
+	inj := &fault.Injector{Script: []fault.Script{{Task: "iter[1]/step", Attempt: 1, Rank: 0, Kind: fault.Error}}}
+	pol := fault.DefaultPolicy()
+	pol.BaseBackoff = 100 * time.Microsecond
+	for _, mode := range execModes {
+		w, _ := NewWorld(4)
+		rep, err := ExecuteHierarchicalCtx(context.Background(), w, hs, barrierBody, trips(3),
+			append([]ExecOption{WithPolicy(pol), WithInjector(inj)}, mode.opts...)...)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", mode.name, err, rep)
+		}
+		if got := rep.Task("iter[1]/step"); got.Attempts != 2 || got.Retries != 1 {
+			t.Fatalf("%s: iter[1]/step = %+v, want 2 attempts / 1 retry", mode.name, got)
+		}
+		if got := rep.Task("iter"); got.Attempts != 1 || got.Retries != 0 {
+			t.Fatalf("%s: iter = %+v, want 1 attempt", mode.name, got)
+		}
+		if rep.Retries != 1 {
+			t.Fatalf("%s: %d retries in total, want 1\n%s", mode.name, rep.Retries, rep)
+		}
+	}
+}
+
+func TestHierarchicalIterationsOncePerTrip(t *testing.T) {
+	// The iterations contract: rank 0 of the composed task's group calls
+	// it once per trip and once to stop — 4 calls for 3 trips on a 4-rank
+	// group, per attempt of the composed task. A fault on a follower rank
+	// of the composed task fails its first attempt after the loop ran, so
+	// two attempts make 8 calls.
+	hs := iterSchedule(t)
+	pol := fault.DefaultPolicy()
+	pol.BaseBackoff = 100 * time.Microsecond
+	for _, mode := range execModes {
+		for _, script := range [][]fault.Script{nil, {{Task: "iter", Attempt: 1, Rank: 1, Kind: fault.Error}}} {
+			var calls atomic.Int64
+			iterations := func(_ *graph.Task, done int) bool {
+				calls.Add(1)
+				return done < 3
+			}
+			w, _ := NewWorld(4)
+			rep, err := ExecuteHierarchicalCtx(context.Background(), w, hs, barrierBody, iterations,
+				append([]ExecOption{WithPolicy(pol), WithInjector(&fault.Injector{Script: script})}, mode.opts...)...)
+			if err != nil {
+				t.Fatalf("%s: %v\n%s", mode.name, err, rep)
+			}
+			attempts := rep.Task("iter").Attempts
+			if attempts != 1+len(script) {
+				t.Fatalf("%s: iter ran %d attempts, want %d", mode.name, attempts, 1+len(script))
+			}
+			if got := calls.Load(); got != int64(4*attempts) {
+				t.Fatalf("%s: iterations called %d times over %d attempt(s), want 4 per attempt", mode.name, got, attempts)
+			}
+		}
+	}
+}
+
+func TestHierarchicalInnerGlobalFailsFast(t *testing.T) {
+	// No epoch spans the world inside a composed task, so the inner
+	// TaskCtx.Global is born poisoned: touching it fails at once with an
+	// error matching ErrGlobalInWavefront, in both modes, retrying neither
+	// the inner task nor the composed one.
+	hs := iterSchedule(t)
+	pol := fault.DefaultPolicy()
+	pol.MaxRetries = 3
+	pol.BaseBackoff = 50 * time.Microsecond
+	for _, mode := range execModes {
+		w, _ := NewWorld(4)
+		rep, err := ExecuteHierarchicalCtx(context.Background(), w, hs, func(task *graph.Task) TaskFunc {
+			return func(tc *TaskCtx) error {
+				tc.Global.Barrier()
+				return nil
+			}
+		}, trips(3), append([]ExecOption{WithPolicy(pol)}, mode.opts...)...)
+		if !errors.Is(err, ErrGlobalInWavefront) {
+			t.Fatalf("%s: error does not match ErrGlobalInWavefront: %v", mode.name, err)
+		}
+		if rep.Retries != 0 || rep.Task("iter").Attempts != 1 || rep.Task("iter[0]/step").Attempts != 1 {
+			t.Fatalf("%s: an inner Global misuse was retried\n%s", mode.name, rep)
+		}
+	}
+}
+
+func TestHierarchicalNestedNames(t *testing.T) {
+	// Names compose when composed tasks nest: trip 1 of the inner loop in
+	// trip 0 of the outer one runs "outer[0]/loop[1]/step", and a fault
+	// scripted under that name retries exactly that task.
+	inner := graph.New("body")
+	inner.AddTask(&graph.Task{Name: "step", Kind: graph.KindBasic, Work: 1e5})
+	inner.AddStartStop()
+	hs := scheduleHierarchical(t, loopOf("outer", loopOf("loop", inner)), 4)
+	inj := &fault.Injector{Script: []fault.Script{{Task: "outer[0]/loop[1]/step", Attempt: 1, Rank: 0, Kind: fault.Error}}}
+	pol := fault.DefaultPolicy()
+	pol.BaseBackoff = 50 * time.Microsecond
+	for _, mode := range execModes {
+		w, _ := NewWorld(4)
+		rep, err := ExecuteHierarchicalCtx(context.Background(), w, hs, barrierBody, trips(2),
+			append([]ExecOption{WithPolicy(pol), WithInjector(inj)}, mode.opts...)...)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", mode.name, err, rep)
+		}
+		for o := 0; o < 2; o++ {
+			for l := 0; l < 2; l++ {
+				name := fmt.Sprintf("outer[%d]/loop[%d]/step", o, l)
+				want := 1
+				if o == 0 && l == 1 {
+					want = 2
+				}
+				if got := rep.Task(name).Attempts; got != want {
+					t.Fatalf("%s: %s ran %d attempts, want %d\n%s", mode.name, name, got, want, rep)
+				}
+			}
+		}
+		composed := 0
+		for _, s := range rep.Spans {
+			if s.Composed {
+				composed++
+			}
+		}
+		// outer, outer[0]/loop, outer[1]/loop, and four steps.
+		if len(rep.Spans) != 7 || composed != 3 {
+			t.Fatalf("%s: %d spans (%d composed), want 7 (3 composed)", mode.name, len(rep.Spans), composed)
+		}
+		if rep.Layers != len(hs.Top.Layers) {
+			t.Fatalf("%s: Report.Layers = %d, want %d", mode.name, rep.Layers, len(hs.Top.Layers))
+		}
+	}
+}

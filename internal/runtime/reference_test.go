@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"testing"
 	"time"
@@ -26,9 +27,20 @@ func runSequential(t *testing.T, sched *core.Schedule, from, to int, body func(t
 	rep := NewReport()
 	rep.lean = cfg.noTimeline
 	rep.begin(sched.P)
+	if err := sequential(sched, from, to, body, cfg, rep); err != nil {
+		t.Fatalf("sequential reference failed: %v\n%s", err, rep)
+	}
+	rep.Layers = to - from
+	rep.Wall = rep.since()
+	return rep
+}
+
+// sequential is runSequential's interpreter, reporting into rep under the
+// task names of cfg's level.
+func sequential(sched *core.Schedule, from, to int, body func(t *graph.Task) TaskFunc, cfg *execConfig, rep *Report) error {
 	prec, err := core.PrecedenceOf(sched)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	w, _ := NewWorld(sched.P)
 	global := newLazyGlobal(Global, identityRanks(sched.P), nil, nil)
@@ -39,12 +51,62 @@ func runSequential(t *testing.T, sched *core.Schedule, from, to int, body func(t
 			continue
 		}
 		if err, _ := runScheduledTask(context.Background(), w, sched, td, global, body, cfg, rep, nil); err != nil {
-			t.Fatalf("sequential reference failed: %v\n%s", err, rep)
+			return err
 		}
 	}
-	rep.Layers = to - from
+	return nil
+}
+
+// referenceHierarchical is runSequential recursing into composed tasks: a
+// composed task's rank 0 runs its trips one after another, each with the
+// sequential interpreter on the sub-schedule under the dispatcher's inner
+// task names, and its other ranks return at once.
+func referenceHierarchical(t *testing.T, hs *core.HierarchicalSchedule, body func(t *graph.Task) TaskFunc,
+	iterations func(t *graph.Task, done int) bool, opts ...ExecOption) *Report {
+
+	t.Helper()
+	cfg := newExecConfig(opts)
+	rep := NewReport()
+	rep.lean = cfg.noTimeline
+	rep.begin(hs.Top.P)
+	if err := sequential(hs.Top, 0, len(hs.Top.Layers), sequentialBodies(hs, body, iterations, cfg, rep), cfg, rep); err != nil {
+		t.Fatalf("sequential hierarchical reference failed: %v\n%s", err, rep)
+	}
+	rep.Layers = len(hs.Top.Layers)
 	rep.Wall = rep.since()
 	return rep
+}
+
+// sequentialBodies extends body to the composed tasks of hs for
+// referenceHierarchical.
+func sequentialBodies(hs *core.HierarchicalSchedule, body func(t *graph.Task) TaskFunc,
+	iterations func(t *graph.Task, done int) bool, cfg *execConfig, rep *Report) func(t *graph.Task) TaskFunc {
+
+	return func(task *graph.Task) TaskFunc {
+		if task.Kind != graph.KindComposed {
+			return body(task)
+		}
+		var sub *core.HierarchicalSchedule
+		for id, s := range hs.Sub {
+			if hs.Top.SourceTasks(id)[0] == task.ID {
+				sub = s
+			}
+		}
+		return func(tc *TaskCtx) error {
+			if tc.Group.Rank() != 0 {
+				return nil
+			}
+			for done := 0; iterations(task, done); done++ {
+				child := *cfg
+				child.prefix = fmt.Sprintf("%s%s[%d]/", cfg.prefix, task.Name, done)
+				bodies := sequentialBodies(sub, body, iterations, &child, rep)
+				if err := sequential(sub.Top, 0, len(sub.Top.Layers), bodies, &child, rep); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
 }
 
 // checkExecution checks the execution itself, not its outputs: from the

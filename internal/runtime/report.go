@@ -46,16 +46,18 @@ type Report struct {
 	GrownCores  int
 	ShrunkCores int
 
-	// Layers counts completed layer barriers (the recovery
-	// checkpoints reached).
+	// Layers counts completed layer barriers of the top-level schedule
+	// (the recovery checkpoints reached); the layers of composed tasks
+	// are not counted.
 	Layers int
 
 	// Wall is the wall-clock duration of the execution.
 	Wall time.Duration
 
 	// Spans records one entry per successful task attempt, in completion
-	// order; timestamps are offsets from the start of the execution. Use
-	// Timeline for a copy sorted by start time.
+	// order, inner tasks of composed tasks included; timestamps are
+	// offsets from the start of the execution. Use Timeline for a copy
+	// sorted by start time.
 	Spans []TaskSpan
 
 	// P is the symbolic core count of the initial schedule (the
@@ -79,12 +81,16 @@ type Report struct {
 // TaskSpan is the timeline entry of one successful task attempt: which
 // task ran where, and when. Start and End are offsets from the beginning
 // of the execution, so spans from one Report are directly comparable.
+// Layer and Group locate the task in the schedule of its own level.
 type TaskSpan struct {
 	Name       string
 	Layer      int
 	Group      int
 	Cores      int
 	Start, End time.Duration
+	// Composed marks the span of a composed task: its inner tasks have
+	// spans of their own, so its core-time is not counted as busy.
+	Composed bool
 }
 
 // Duration returns the span's elapsed time.
@@ -213,12 +219,12 @@ func (r *Report) since() time.Duration {
 
 // addSpan records the timeline entry of a successful attempt (or, in
 // lean mode, just its core-time contribution).
-func (r *Report) addSpan(name string, layer, group, cores int, start, end time.Duration) {
+func (r *Report) addSpan(name string, layer, group, cores int, start, end time.Duration, composed bool) {
 	r.mu.Lock()
-	if r.lean {
+	if !r.lean {
+		r.Spans = append(r.Spans, TaskSpan{Name: name, Layer: layer, Group: group, Cores: cores, Start: start, End: end, Composed: composed})
+	} else if !composed {
 		r.busy += time.Duration(cores) * (end - start)
-	} else {
-		r.Spans = append(r.Spans, TaskSpan{Name: name, Layer: layer, Group: group, Cores: cores, Start: start, End: end})
 	}
 	r.mu.Unlock()
 }
@@ -252,17 +258,15 @@ func (r *Report) Timeline() []TaskSpan {
 }
 
 // Utilization summarises the timeline: busy is the core-time spent inside
-// successful task attempts (span duration × group cores), idle is the rest
-// of the P×Wall core-time budget, and frac is busy's share of it. A lower
-// idle share on the same program is the direct measure of what wavefront
-// execution recovers from the layer barriers.
+// successful task attempts (span duration × group cores, composed tasks
+// through their inner spans), idle is the rest of the P×Wall core-time
+// budget, and frac is busy's share of it. A lower idle share on the same
+// program is the direct measure of what wavefront execution recovers from
+// the layer barriers.
 func (r *Report) Utilization() (busy, idle time.Duration, frac float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	busy = r.busy // lean-mode accumulator; zero when spans are retained
-	for _, s := range r.Spans {
-		busy += time.Duration(s.Cores) * (s.End - s.Start)
-	}
+	busy = r.busyLocked()
 	total := time.Duration(r.P) * r.Wall
 	if total > busy {
 		idle = total - busy
@@ -271,6 +275,19 @@ func (r *Report) Utilization() (busy, idle time.Duration, frac float64) {
 		frac = float64(busy) / float64(total)
 	}
 	return busy, idle, frac
+}
+
+// busyLocked returns the busy core-time: the lean-mode accumulator (zero
+// when spans are retained) plus every retained span but composed ones.
+// Callers must hold r.mu.
+func (r *Report) busyLocked() time.Duration {
+	busy := r.busy
+	for _, s := range r.Spans {
+		if !s.Composed {
+			busy += time.Duration(s.Cores) * (s.End - s.Start)
+		}
+	}
+	return busy
 }
 
 // Task returns a copy of the named task's history (zero value if the task
@@ -303,10 +320,7 @@ func (r *Report) String() string {
 		b.WriteString("  note: lean report (WithoutTimeline) — never-failed tasks re-executed after a replan restart attempt numbering at 1; scripts keyed on attempt numbers across a replan need the full report\n")
 	}
 	if r.P > 0 && (len(r.Spans) > 0 || r.busy > 0) {
-		busy := r.busy
-		for _, s := range r.Spans {
-			busy += time.Duration(s.Cores) * (s.End - s.Start)
-		}
+		busy := r.busyLocked()
 		total := time.Duration(r.P) * r.Wall
 		idle := time.Duration(0)
 		if total > busy {

@@ -14,7 +14,7 @@ func TestReportStringZeroWall(t *testing.T) {
 	r := NewReport()
 	r.begin(2)
 	r.startAttempt("t")
-	r.addSpan("t", 0, 0, 2, 0, time.Millisecond)
+	r.addSpan("t", 0, 0, 2, 0, time.Millisecond, false)
 
 	out := r.String()
 	if !strings.Contains(out, "core-time:") {

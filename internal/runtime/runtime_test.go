@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -254,7 +255,7 @@ func TestExecuteSchedule(t *testing.T) {
 	w, _ := NewWorld(8)
 	var ran [4]atomic.Int64
 	var sizes [4]atomic.Int64
-	err = Execute(w, sched, func(task *graph.Task) TaskFunc {
+	_, err = ExecuteCtx(context.Background(), w, sched, func(task *graph.Task) TaskFunc {
 		return func(ctx *TaskCtx) error {
 			if ctx.Group.Rank() == 0 {
 				ran[task.ID].Add(1)
@@ -292,7 +293,7 @@ func TestExecuteMissingBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, _ := NewWorld(4)
-	err = Execute(w, sched, func(task *graph.Task) TaskFunc { return nil })
+	_, err = ExecuteCtx(context.Background(), w, sched, func(task *graph.Task) TaskFunc { return nil })
 	if err == nil {
 		t.Fatal("missing body not reported")
 	}
@@ -305,7 +306,7 @@ func TestExecuteTaskError(t *testing.T) {
 	sch := &core.Scheduler{Model: model}
 	sched, _ := sch.Schedule(g, 2)
 	w, _ := NewWorld(2)
-	err := Execute(w, sched, func(task *graph.Task) TaskFunc {
+	_, err := ExecuteCtx(context.Background(), w, sched, func(task *graph.Task) TaskFunc {
 		return func(ctx *TaskCtx) error { return fmt.Errorf("boom") }
 	})
 	if err == nil {
@@ -320,7 +321,7 @@ func TestExecuteWorldSizeMismatch(t *testing.T) {
 	sch := &core.Scheduler{Model: model}
 	sched, _ := sch.Schedule(g, 4)
 	w, _ := NewWorld(2)
-	if err := Execute(w, sched, func(task *graph.Task) TaskFunc { return nil }); err == nil {
+	if _, err := ExecuteCtx(context.Background(), w, sched, func(task *graph.Task) TaskFunc { return nil }); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
 }
@@ -388,7 +389,7 @@ func TestExecuteHierarchical(t *testing.T) {
 		}
 	}
 	const trips = 3
-	err = ExecuteHierarchical(w, hs, bodyFn, func(task *graph.Task, done int) bool {
+	rep, err := ExecuteHierarchicalCtx(context.Background(), w, hs, bodyFn, func(task *graph.Task, done int) bool {
 		return done < trips
 	})
 	if err != nil {
@@ -408,6 +409,12 @@ func TestExecuteHierarchical(t *testing.T) {
 		if get(name) != trips {
 			t.Fatalf("%s ran %d times, want %d", name, get(name), trips)
 		}
+		// Every trip of every inner task leaves its own namespaced span.
+		for trip := 0; trip < trips; trip++ {
+			if got := rep.Task(fmt.Sprintf("while[%d]/%s", trip, name)).Attempts; got != 1 {
+				t.Fatalf("while[%d]/%s: %d attempts, want 1\n%s", trip, name, got, rep)
+			}
+		}
 	}
 }
 
@@ -424,7 +431,7 @@ func TestExecuteHierarchicalBodyError(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, _ := NewWorld(4)
-	err = ExecuteHierarchical(w, hs, func(task *graph.Task) TaskFunc {
+	_, err = ExecuteHierarchicalCtx(context.Background(), w, hs, func(task *graph.Task) TaskFunc {
 		return func(ctx *TaskCtx) error { return fmt.Errorf("boom") }
 	}, func(task *graph.Task, done int) bool { return done < 2 })
 	if err == nil {

@@ -42,5 +42,7 @@ func WithWavefront() ExecOption {
 }
 
 // ErrGlobalInWavefront is matched (via errors.Is) by the failure of any
-// task body that touches TaskCtx.Global in wavefront mode.
-var ErrGlobalInWavefront = errors.New("runtime: TaskCtx.Global is not available in wavefront mode (no layer-synchronous epoch); use WithWavefront only with group-collective bodies")
+// task body that touches TaskCtx.Global where no layer-synchronous epoch
+// spans the world: in wavefront mode, and inside a composed task in
+// either mode. Such a failure is not retried.
+var ErrGlobalInWavefront = errors.New("runtime: TaskCtx.Global is not available here (no layer-synchronous epoch spans the world: wavefront mode, or inside a composed task); use group collectives")

@@ -131,8 +131,8 @@ func compareBitwise(t *testing.T, want, got map[string]float64) {
 func TestPropertyWavefrontMatchesLayered(t *testing.T) {
 	// The equivalence property of the two pass widths: on the same
 	// schedule, dependence-driven launch must produce bitwise identical
-	// results to layer-synchronous execution, and both to the legacy
-	// communicator-split Execute, for random DAGs and varying core counts.
+	// results to layer-synchronous execution, and both to the sequential
+	// reference interpreter, for random DAGs and varying core counts.
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 12; trial++ {
 		g := randomExecDAG(rng)
@@ -150,12 +150,8 @@ func TestPropertyWavefrontMatchesLayered(t *testing.T) {
 		if len(wrep.Spans) != len(lrep.Spans) {
 			t.Fatalf("trial %d: %d wavefront spans, %d layered", trial, len(wrep.Spans), len(lrep.Spans))
 		}
-		w, _ := NewWorld(P)
-		var out sync.Map
-		if err := Execute(w, sched, recordingBody(&out)); err != nil {
-			t.Fatalf("trial %d: legacy Execute failed: %v", trial, err)
-		}
-		compareBitwise(t, recordings(&out), layered)
+		ref, _ := referenceRecorded(t, sched)
+		compareBitwise(t, ref, layered)
 	}
 }
 

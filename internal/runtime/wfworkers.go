@@ -68,10 +68,11 @@ type wfDispatcher struct {
 	rep   *Report
 	body  func(t *graph.Task) TaskFunc
 
-	// identity is the 0..P-1 rank slab; group communicators of interval
-	// [lo, hi) use identity[lo:hi] directly, so attempts never allocate a
-	// rank slice.
-	identity []int
+	// ranks are the world ranks of the symbolic ranks 0..P-1 (the
+	// identity at the top level, the group's world ranks inside a
+	// composed task); group communicators of interval [lo, hi) use
+	// ranks[lo:hi] directly, so attempts never allocate a rank slice.
+	ranks []int
 
 	// spawn selects the spawned-attempt fallback: when the policy sets a
 	// deadline that applies to this execution, attempts must be
@@ -128,7 +129,7 @@ type wfWorker struct {
 	// exactly once).
 	lastSeq []uint64
 
-	// Leader-side attempt publication. gsh, fn, src and attempt are
+	// Leader-side attempt publication. gsh, fn, src, name and attempt are
 	// written first, then seq is bumped, then curTask is set to the
 	// scheduled task id (-1 outside a published attempt) — in that order,
 	// so a follower that observes curTask == id is guaranteed to read this
@@ -143,6 +144,7 @@ type wfWorker struct {
 	gsh     *commShared
 	fn      TaskFunc
 	src     *graph.Task
+	name    string
 	attempt int
 	errs    []error // per-group-rank results of the published attempt
 
@@ -168,9 +170,13 @@ func newDispatcher(w *World, sched *core.Schedule, from int, body func(t *graph.
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
 	pol := cfg.policy
+	ranks := cfg.ranks
+	if ranks == nil {
+		ranks = identityRanks(sched.P)
+	}
 	d := &wfDispatcher{
 		w: w, sched: sched, prec: prec, cfg: cfg, rep: rep, body: body,
-		identity:  identityRanks(sched.P),
+		ranks:     ranks,
 		spawn:     pol.TaskTimeout > 0 || !cfg.wavefront && pol.LayerTimeout > 0,
 		remaining: make([]atomic.Int32, len(prec.Tasks)),
 		state:     make([]atomic.Uint32, len(prec.Tasks)),
@@ -223,25 +229,26 @@ func newDispatcher(w *World, sched *core.Schedule, from int, body func(t *graph.
 //
 // A wavefront pass stops launching on the first failure and drains the
 // in-flight frontier (completions during the drain still advance the
-// checkpoint); its global communicator is born poisoned, so the first
-// global collective fails fast with ErrGlobalInWavefront. A layered pass
-// lets every group run to its own end, so its fault accounting does not
-// depend on timing; it is bounded by the policy's LayerTimeout and gets a
-// fresh global communicator that is aborted when the pass ends, so
+// checkpoint). A layered pass lets every group run to its own end, so its
+// fault accounting does not depend on timing, and it is bounded by the
+// policy's LayerTimeout. Only a layered pass of the top level gets a
+// global communicator, fresh per pass and aborted when the pass ends so
 // stragglers of abandoned attempts blocked in a global collective are
-// released.
+// released; a wavefront pass or a pass inside a composed task has no
+// epoch spanning the world, so its global communicator is born poisoned
+// and the first global collective fails fast with ErrGlobalInWavefront.
 func (d *wfDispatcher) pass(ctx context.Context, to int) (done int, err error, failedCores int) {
-	if d.cfg.wavefront {
-		d.global = newLazyGlobal(Global, d.identity, nil, nil)
+	if d.cfg.wavefront || d.cfg.prefix != "" {
+		d.global = newLazyGlobal(Global, d.ranks, nil, nil)
 		d.global.abort(ErrGlobalInWavefront)
 	} else {
-		d.global = newLazyGlobal(Global, d.identity, &d.w.Stats, d.cfg.rec)
+		d.global = newLazyGlobal(Global, d.ranks, &d.w.Stats, d.cfg.rec)
 		defer d.global.abort(errLayerDone)
-		if lt := d.cfg.policy.LayerTimeout; lt > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, lt)
-			defer cancel()
-		}
+	}
+	if lt := d.cfg.policy.LayerTimeout; lt > 0 && !d.cfg.wavefront {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, lt)
+		defer cancel()
 	}
 	d.ctx, d.to = ctx, to
 	d.advance() // layers with no tasks complete immediately
@@ -380,7 +387,7 @@ func (wk *wfWorker) follow(td *core.TaskDeps) {
 // attempt. The last follower to finish wakes the leader.
 func (wk *wfWorker) runFollower(ld *wfWorker, td *core.TaskDeps, r int) {
 	d := wk.d
-	gsh, fn, src, attempt := ld.gsh, ld.fn, ld.src, ld.attempt
+	gsh, fn, src, name, attempt := ld.gsh, ld.fn, ld.src, ld.name, ld.attempt
 	wk.group = Comm{shared: gsh, rank: r}
 	wk.global = Comm{lazy: d.global, rank: wk.rank}
 	wk.tc = TaskCtx{
@@ -391,7 +398,7 @@ func (wk *wfWorker) runFollower(ld *wfWorker, td *core.TaskDeps, r int) {
 		GroupIndex: int(td.Group),
 		Ctx:        d.ctx,
 	}
-	ld.errs[r] = runRankAttempt(&wk.tc, fn, attempt, gsh, d.cfg)
+	ld.errs[r] = runRankAttempt(&wk.tc, name, fn, attempt, gsh, d.cfg)
 	if ld.pending.Add(-1) == 0 {
 		d.wakeWorker(ld.rank)
 	}
@@ -399,19 +406,19 @@ func (wk *wfWorker) runFollower(ld *wfWorker, td *core.TaskDeps, r int) {
 
 // coopAttempt runs one attempt of one source task cooperatively on the
 // workers of the group's interval: the leader builds a fresh pooled group
-// communicator over identity[lo:hi], publishes the attempt to its
+// communicator over ranks[lo:hi], publishes the attempt to its
 // followers, runs its own rank-0 share, waits for the followers and
 // settles — the exact runAttempt semantics minus the per-attempt
 // goroutines and watchdog (see wfDispatcher for the cancellation caveat
 // that buys).
-func (wk *wfWorker) coopAttempt(t *graph.Task, fn TaskFunc, attempt int, td *core.TaskDeps) error {
+func (wk *wfWorker) coopAttempt(t *graph.Task, name string, fn TaskFunc, attempt int, td *core.TaskDeps) error {
 	d := wk.d
 	lo, hi := td.Lo, td.Hi
 	size := hi - lo
-	gsh := newCommShared(Group, d.identity[lo:hi], &d.w.Stats, d.cfg.rec)
+	gsh := newCommShared(Group, d.ranks[lo:hi], &d.w.Stats, d.cfg.rec)
 
 	if size > 1 {
-		wk.gsh, wk.fn, wk.src, wk.attempt = gsh, fn, t, attempt
+		wk.gsh, wk.fn, wk.src, wk.name, wk.attempt = gsh, fn, t, name, attempt
 		for i := 1; i < size; i++ {
 			wk.errs[i] = nil
 		}
@@ -441,7 +448,7 @@ func (wk *wfWorker) coopAttempt(t *graph.Task, fn TaskFunc, attempt int, td *cor
 		GroupIndex: int(td.Group),
 		Ctx:        d.ctx,
 	}
-	wk.errs[0] = runRankAttempt(&wk.tc, fn, attempt, gsh, d.cfg)
+	wk.errs[0] = runRankAttempt(&wk.tc, name, fn, attempt, gsh, d.cfg)
 
 	for size > 1 && wk.pending.Load() != 0 {
 		<-wk.wake
@@ -454,7 +461,7 @@ func (wk *wfWorker) coopAttempt(t *graph.Task, fn TaskFunc, attempt int, td *cor
 		// drain and this store matches lastSeq and parks harmlessly).
 		wk.curTask.Store(-1)
 	}
-	err := settleAttempt(t, d.rep, wk.errs[:size])
+	err := settleAttempt(name, d.rep, wk.errs[:size])
 	gsh.release() // attempt settled: no rank holds the comm anymore
 	return err
 }
@@ -485,12 +492,15 @@ func (d *wfDispatcher) complete(td *core.TaskDeps) {
 }
 
 // advance moves the completed-layer prefix over every drained layer of
-// the pass, recording each checkpoint.
+// the pass, recording each top-level checkpoint (Report.Layers does not
+// count the layers of composed tasks).
 func (d *wfDispatcher) advance() {
 	d.doneMu.Lock()
 	for d.done < d.to && d.layerLeft[d.done].Load() == 0 {
-		d.rep.layerDone()
-		d.cfg.rec.Instant("layer-done", "exec", obs.ControlRank, d.cfg.rec.Now())
+		if d.cfg.prefix == "" {
+			d.rep.layerDone()
+			d.cfg.rec.Instant("layer-done", "exec", obs.ControlRank, d.cfg.rec.Now())
+		}
 		d.done++
 	}
 	d.doneMu.Unlock()

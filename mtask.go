@@ -400,9 +400,13 @@ type TaskFunc = runtime.TaskFunc
 // NewWorld returns a world of p goroutine cores.
 func NewWorld(p int) (*World, error) { return runtime.NewWorld(p) }
 
-// Execute runs a schedule on the world with real task bodies.
+// Execute runs a schedule on the world with real task bodies: ExecuteCtx
+// with no options, its Report discarded. Failures come back as one error,
+// "layer L group G: ..." per failed task; a panicking body is recovered
+// into a *PanicError in that error, not re-raised in the caller.
 func Execute(w *World, sched *Schedule, body func(t *Task) TaskFunc) error {
-	return runtime.Execute(w, sched, body)
+	_, err := runtime.ExecuteCtx(context.Background(), w, sched, body)
+	return err
 }
 
 // --- fault tolerance ---
@@ -479,7 +483,8 @@ func WithReplanner(r Replanner) ExecOption { return runtime.WithReplanner(r) }
 func WithWavefront() ExecOption { return runtime.WithWavefront() }
 
 // ErrGlobalInWavefront marks a task body that touched TaskCtx.Global
-// under WithWavefront.
+// where no epoch spans the world: under WithWavefront, or inside a
+// composed task.
 var ErrGlobalInWavefront = runtime.ErrGlobalInWavefront
 
 // WithoutTimeline drops O(tasks) state from the Report so million-task

@@ -174,6 +174,15 @@ func TestExecuteThroughFacade(t *testing.T) {
 	if count != 6 {
 		t.Fatalf("ran %d tasks, want 6", count)
 	}
+
+	// A panicking body comes back as a *PanicError in the error.
+	err = Execute(w, sched, func(task *Task) TaskFunc {
+		return func(ctx *TaskCtx) error { panic("boom") }
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("body panic not returned as *PanicError: %v", err)
+	}
 }
 
 func TestCompileSpecFacade(t *testing.T) {

@@ -9,6 +9,7 @@ package mtask
 // structure.
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -170,8 +171,12 @@ func TestFullPipelineSpecToExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Execute(w, sched, bodies); err != nil {
-		t.Fatal(err)
+	rep, err := ExecuteCtx(context.Background(), w, sched, bodies)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, rep)
+	}
+	if rep.Layers != len(sched.Layers) || len(rep.Spans) != 6 {
+		t.Fatalf("report: %d layers, %d spans; want %d layers, 6 spans\n%s", rep.Layers, len(rep.Spans), len(sched.Layers), rep)
 	}
 	// Oracle: result[i] = mean over r of r*i = 2.5*i.
 	for i := 0; i < n; i += 997 {
