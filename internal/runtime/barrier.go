@@ -16,10 +16,12 @@ import (
 // acquisitions on one mutex — matching the logarithmic collective costs
 // (Tbc/Tag ~ log q) the paper's cost model assumes (Section 3.1).
 //
-// Waiting is a staged poll: a short busy spin (skipped when GOMAXPROCS is
-// 1), then cooperative yields, then micro-sleeps, so parked members
-// neither burn a core while a peer computes nor pay a wakeup syscall on
-// the fast path.
+// Waiting is a staged poll: a short busy spin, then cooperative yields,
+// then micro-sleeps, so parked members neither burn a core while a peer
+// computes nor pay a wakeup syscall on the fast path. The spin budget
+// (none on a single P) is decided by barrierSpin once per execution or
+// World run, not per communicator, and passed to reset; split-off
+// communicators inherit their parent's.
 
 // cacheLinePad pads hot per-member fields to 64-byte lines to prevent
 // false sharing between members.
@@ -73,15 +75,12 @@ func barrierRounds(n int) int {
 	return r
 }
 
-// reset prepares the barrier for n members, reusing the flag array when a
-// pooled communicator is recycled.
-func (b *treeBarrier) reset(n int) {
+// reset prepares the barrier for n members with the given busy-spin
+// budget, reusing the flag array when a pooled communicator is recycled.
+func (b *treeBarrier) reset(n, spin int) {
 	b.n = n
 	b.rounds = barrierRounds(n)
-	b.spin = barrierSpins
-	if stdruntime.GOMAXPROCS(0) == 1 {
-		b.spin = 0 // spinning cannot help on a single P
-	}
+	b.spin = spin
 	need := n * b.rounds
 	if cap(b.flags) < need {
 		b.flags = make([]barrierFlag, need)

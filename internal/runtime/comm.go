@@ -22,6 +22,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	stdruntime "runtime"
 	"sort"
 	"sync"
 
@@ -225,18 +226,28 @@ type commShared struct {
 // the fault executor builds a fresh group communicator per retry attempt.
 var commPool = sync.Pool{New: func() any { return new(commShared) }}
 
+// barrierSpin returns the busy-spin budget of a barrier, none on a single
+// P. GOMAXPROCS takes the scheduler's lock, so callers decide once per
+// execution or World run and pass the budget to every communicator.
+func barrierSpin() int {
+	if stdruntime.GOMAXPROCS(0) == 1 {
+		return 0
+	}
+	return barrierSpins
+}
+
 // newCommShared builds the shared state of a communicator over the given
 // world ranks. Used by World.Run and by the fault-tolerant executor, which
 // constructs group communicators directly from the schedule (a fresh one
 // per attempt) instead of through collective Split calls.
-func newCommShared(kind CommKind, worldRanks []int, stats *Stats, rec *obs.Recorder) *commShared {
+func newCommShared(kind CommKind, worldRanks []int, stats *Stats, rec *obs.Recorder, spin int) *commShared {
 	s := commPool.Get().(*commShared)
 	n := len(worldRanks)
 	s.kind = kind
 	s.ranks = worldRanks
 	s.stats = stats
 	s.rec = rec
-	s.bar.reset(n)
+	s.bar.reset(n, spin)
 	if cap(s.mems) < n {
 		s.mems = make([]memberState, n)
 	} else {
@@ -645,7 +656,7 @@ func (c *Comm) Split(color, key int, kind CommKind) *Comm {
 	sh := c.sh()
 	if len(sh.ranks) == 1 {
 		sh.bar.check()
-		child := newCommShared(kind, []int{sh.ranks[0]}, sh.stats, sh.rec)
+		child := newCommShared(kind, []int{sh.ranks[0]}, sh.stats, sh.rec, sh.bar.spin)
 		sh.mu.Lock()
 		sh.children = append(sh.children, child)
 		sh.mu.Unlock()
@@ -689,7 +700,7 @@ func (c *Comm) Split(color, key int, kind CommKind) *Comm {
 	}
 	child := gen.byColor[color]
 	if child == nil {
-		child = newCommShared(kind, worldRanks, sh.stats, sh.rec)
+		child = newCommShared(kind, worldRanks, sh.stats, sh.rec, sh.bar.spin)
 		gen.byColor[color] = child
 		sh.children = append(sh.children, child)
 	}

@@ -335,7 +335,7 @@ func TestPropertyCollectivesWithAbort(t *testing.T) {
 		want := runRef(p, script)
 
 		var stats Stats
-		sh := newCommShared(Global, identityRanks(p), &stats, nil)
+		sh := newCommShared(Global, identityRanks(p), &stats, nil, barrierSpin())
 		results := make([][][]float64, p)
 		aborted := make([]bool, p)
 		var wg sync.WaitGroup

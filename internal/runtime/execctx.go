@@ -64,6 +64,7 @@ type execConfig struct {
 	// symbolic ranks (nil for the identity).
 	prefix string
 	ranks  []int
+	spin   int // barrier busy-spin budget, decided once (barrierSpin)
 }
 
 // ExecOption configures ExecuteCtx / ExecuteHierarchicalCtx.
@@ -240,8 +241,7 @@ func execute(ctx context.Context, w *World, sched *core.Schedule, body func(t *g
 
 	rep.lean = cfg.noTimeline
 	if sched != nil {
-		rep.begin(sched.P)
-		rep.presizeSpans(sched.Source.Len())
+		rep.begin(sched.P, sched.Source.Len())
 	}
 	start := time.Now()
 	err := runLayered(ctx, w, sched, body, cfg, rep, resched)
@@ -252,7 +252,7 @@ func execute(ctx context.Context, w *World, sched *core.Schedule, body func(t *g
 }
 
 func newExecConfig(opts []ExecOption) *execConfig {
-	cfg := &execConfig{grace: defaultAbandonGrace}
+	cfg := &execConfig{grace: defaultAbandonGrace, spin: barrierSpin()}
 	for _, opt := range opts {
 		opt(cfg)
 	}
@@ -370,7 +370,11 @@ func runLayered(ctx context.Context, w *World, sched *core.Schedule, body func(t
 // otherwise each attempt is abandonable and spawns its goroutines via
 // runAttempt. The second result reports whether a failure exhausted the
 // retry budget — the degrade-and-replan trigger that costs the group its
-// cores.
+// cores. The clock is read once per attempt boundary: an attempt starts
+// where the chain's previous successful attempt ended, so a chain's spans
+// are contiguous. A lean report's cooperative attempts sum their
+// core-time on their own worker (folded in when the pass joins) instead
+// of taking rep's lock.
 func runScheduledTask(ctx context.Context, w *World, sched *core.Schedule, td *core.TaskDeps,
 	global *lazyGlobal, body func(t *graph.Task) TaskFunc, cfg *execConfig, rep *Report,
 	coop *wfWorker) (error, bool) {
@@ -383,6 +387,7 @@ func runScheduledTask(ctx context.Context, w *World, sched *core.Schedule, td *c
 		single[0] = td.ID
 		srcs = single[:]
 	}
+	tstart := rep.since()
 	for _, src := range srcs {
 		t := sched.Source.Task(src)
 		name := cfg.prefix + t.Name // "" + name does not allocate
@@ -396,7 +401,6 @@ func runScheduledTask(ctx context.Context, w *World, sched *core.Schedule, td *c
 				return fmt.Errorf("runtime: task %q: %w", name, err), false
 			}
 			attempt := rep.startAttempt(name)
-			tstart := rep.since()
 			var aerr error
 			if coop != nil {
 				aerr = coop.coopAttempt(t, name, fn, attempt, td)
@@ -404,7 +408,14 @@ func runScheduledTask(ctx context.Context, w *World, sched *core.Schedule, td *c
 				aerr = runAttempt(ctx, w, t, name, fn, attempt, td, global, cfg, rep)
 			}
 			if aerr == nil {
-				rep.addSpan(name, td.Layer, int(td.Group), td.Hi-td.Lo, tstart, rep.since(), t.Kind == graph.KindComposed)
+				tend := rep.since()
+				composed := t.Kind == graph.KindComposed
+				if coop == nil || !rep.lean {
+					rep.addSpan(name, td.Layer, int(td.Group), td.Hi-td.Lo, tstart, tend, composed)
+				} else if !composed {
+					coop.busy += time.Duration(td.Hi-td.Lo) * (tend - tstart)
+				}
+				tstart = tend
 				break
 			}
 			rep.failed(name)
@@ -438,6 +449,7 @@ func runScheduledTask(ctx context.Context, w *World, sched *core.Schedule, td *c
 					timer.Stop()
 				}
 			}
+			tstart = rep.since()
 		}
 	}
 	return nil, false
@@ -454,7 +466,7 @@ func runAttempt(parent context.Context, w *World, t *graph.Task, name string, fn
 	td *core.TaskDeps, global *lazyGlobal, cfg *execConfig, rep *Report) error {
 
 	lo, size := td.Lo, td.Hi-td.Lo
-	gsh := newCommShared(Group, global.ranks[lo:lo+size], &w.Stats, cfg.rec)
+	gsh := newCommShared(Group, global.ranks[lo:lo+size], &w.Stats, cfg.rec, cfg.spin)
 
 	actx := parent
 	var cancel context.CancelFunc

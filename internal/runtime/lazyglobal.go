@@ -23,6 +23,7 @@ type lazyGlobal struct {
 	ranks []int
 	stats *Stats
 	rec   *obs.Recorder
+	spin  int
 
 	mu      sync.Mutex
 	sh      *commShared
@@ -32,8 +33,8 @@ type lazyGlobal struct {
 
 // newLazyGlobal prepares a lazy communicator shell over the given world
 // ranks; no shared state is allocated until the first get.
-func newLazyGlobal(kind CommKind, worldRanks []int, stats *Stats, rec *obs.Recorder) *lazyGlobal {
-	return &lazyGlobal{kind: kind, ranks: worldRanks, stats: stats, rec: rec}
+func newLazyGlobal(kind CommKind, worldRanks []int, stats *Stats, rec *obs.Recorder, spin int) *lazyGlobal {
+	return &lazyGlobal{kind: kind, ranks: worldRanks, stats: stats, rec: rec, spin: spin}
 }
 
 // get returns the communicator's shared state, creating it on first use.
@@ -43,7 +44,7 @@ func (lg *lazyGlobal) get() *commShared {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
 	if lg.sh == nil {
-		lg.sh = newCommShared(lg.kind, lg.ranks, lg.stats, lg.rec)
+		lg.sh = newCommShared(lg.kind, lg.ranks, lg.stats, lg.rec, lg.spin)
 		if lg.aborted {
 			lg.sh.abort(lg.cause)
 		}

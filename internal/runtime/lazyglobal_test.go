@@ -12,7 +12,7 @@ import (
 // TestLazyGlobalCreateThenAbort: a communicator in use when the abort
 // arrives is poisoned like an eager one.
 func TestLazyGlobalCreateThenAbort(t *testing.T) {
-	lg := newLazyGlobal(Global, identityRanks(2), nil, nil)
+	lg := newLazyGlobal(Global, identityRanks(2), nil, nil, barrierSpin())
 	c := &Comm{lazy: lg, rank: 0}
 	if got := c.Size(); got != 2 { // first touch creates the shared state
 		t.Fatalf("size = %d, want 2", got)
@@ -37,7 +37,7 @@ func TestLazyGlobalCreateThenAbort(t *testing.T) {
 // the first time after the abort (the abandoned-straggler race) gets it
 // pre-poisoned instead of creating a live communicator no peer will join.
 func TestLazyGlobalAbortThenCreate(t *testing.T) {
-	lg := newLazyGlobal(Global, identityRanks(2), nil, nil)
+	lg := newLazyGlobal(Global, identityRanks(2), nil, nil, barrierSpin())
 	cause := errors.New("layer done")
 	lg.abort(cause)
 	c := &Comm{lazy: lg, rank: 1}
@@ -59,7 +59,7 @@ func TestLazyGlobalAbortThenCreate(t *testing.T) {
 // a layer whose bodies never use TaskCtx.Global must not build the global
 // communicator at all, and the layer-end abort must stay allocation-free.
 func TestLazyGlobalNeverTouchedAllocatesNothing(t *testing.T) {
-	lg := newLazyGlobal(Global, identityRanks(8), nil, nil)
+	lg := newLazyGlobal(Global, identityRanks(8), nil, nil, barrierSpin())
 	lg.abort(errLayerDone)
 	if lg.sh != nil {
 		t.Fatal("untouched lazy global allocated shared state")

@@ -26,7 +26,7 @@ func runSequential(t *testing.T, sched *core.Schedule, from, to int, body func(t
 	cfg := newExecConfig(opts)
 	rep := NewReport()
 	rep.lean = cfg.noTimeline
-	rep.begin(sched.P)
+	rep.begin(sched.P, 0)
 	if err := sequential(sched, from, to, body, cfg, rep); err != nil {
 		t.Fatalf("sequential reference failed: %v\n%s", err, rep)
 	}
@@ -43,7 +43,7 @@ func sequential(sched *core.Schedule, from, to int, body func(t *graph.Task) Tas
 		return err
 	}
 	w, _ := NewWorld(sched.P)
-	global := newLazyGlobal(Global, identityRanks(sched.P), nil, nil)
+	global := newLazyGlobal(Global, identityRanks(sched.P), nil, nil, cfg.spin)
 	global.abort(ErrGlobalInWavefront)
 	for _, id := range prec.Scheduled {
 		td := prec.Tasks[id]
@@ -68,7 +68,7 @@ func referenceHierarchical(t *testing.T, hs *core.HierarchicalSchedule, body fun
 	cfg := newExecConfig(opts)
 	rep := NewReport()
 	rep.lean = cfg.noTimeline
-	rep.begin(hs.Top.P)
+	rep.begin(hs.Top.P, 0)
 	if err := sequential(hs.Top, 0, len(hs.Top.Layers), sequentialBodies(hs, body, iterations, cfg, rep), cfg, rep); err != nil {
 		t.Fatalf("sequential hierarchical reference failed: %v\n%s", err, rep)
 	}

@@ -2,9 +2,11 @@ package runtime
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -21,7 +23,7 @@ type TaskReport struct {
 // per-task attempt counts, recovered panics, retries, degrade-and-replan
 // escalations, lost cores and wall time. ExecuteCtx returns a Report even
 // when the execution fails. A Report must not be read until the executor
-// has returned.
+// has returned (lean core-time sums are folded in as each pass joins).
 type Report struct {
 	mu sync.Mutex
 
@@ -64,7 +66,9 @@ type Report struct {
 	// denominator of Utilization).
 	P int
 
-	// epoch is the wall-clock instant offsets are measured from.
+	// epoch is the wall-clock instant offsets are measured from. begin
+	// writes it once before any worker starts (the go statements order
+	// the write before every read), so since reads it without mu.
 	epoch time.Time
 
 	// lean drops O(tasks) state for million-task runs (WithoutTimeline):
@@ -76,7 +80,18 @@ type Report struct {
 	// busy accumulates successful-attempt core-time in lean mode (the
 	// Utilization numerator normally recomputed from Spans).
 	busy time.Duration
+
+	// nhist counts the Tasks entries and hist is a one-hash filter over
+	// their names, both written by task under mu and read without it
+	// (mayHaveHistory).
+	nhist atomic.Int32
+	hist  [histWords]atomic.Uint64
 }
+
+// histWords sizes Report.hist (16384 bits); a false positive costs the lock.
+const histWords = 256
+
+var histSeed = maphash.MakeSeed()
 
 // TaskSpan is the timeline entry of one successful task attempt: which
 // task ran where, and when. Start and End are offsets from the beginning
@@ -108,8 +123,23 @@ func (r *Report) task(name string) *TaskReport {
 	if tr == nil {
 		tr = &TaskReport{Name: name}
 		r.Tasks[name] = tr
+		h := maphash.String(histSeed, name)
+		w := &r.hist[h>>6%histWords]
+		w.Store(w.Load() | 1<<(h&63)) // every writer holds mu
+		r.nhist.Add(1)
 	}
 	return tr
+}
+
+// mayHaveHistory reports whether the named task may have a Tasks entry;
+// false is exact. Only the task's own failure creates its entry and its
+// attempts are sequential, so a miss cannot race the entry's creation.
+func (r *Report) mayHaveHistory(name string) bool {
+	if r.nhist.Load() == 0 {
+		return false
+	}
+	h := maphash.String(histSeed, name)
+	return r.hist[h>>6%histWords].Load()&(1<<(h&63)) != 0
 }
 
 // startAttempt records the start of an attempt and returns its 1-based
@@ -123,12 +153,15 @@ func (r *Report) task(name string) *TaskReport {
 // entry its re-execution reports 1 again where non-lean mode reports 2
 // — the documented WithoutTimeline replan caveat.
 func (r *Report) startAttempt(name string) int {
+	if r.lean && !r.mayHaveHistory(name) {
+		return 1
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.lean {
 		tr := r.Tasks[name]
 		if tr == nil {
-			return 1
+			return 1 // a filter false positive
 		}
 		tr.Attempts++
 		return tr.Attempts
@@ -197,24 +230,22 @@ func (r *Report) layerDone() {
 	r.mu.Unlock()
 }
 
-// begin anchors the report's timeline epoch and records the symbolic core
-// count; the executor calls it once before the first layer.
-func (r *Report) begin(p int) {
-	r.mu.Lock()
-	r.P = p
-	r.epoch = time.Now()
-	r.mu.Unlock()
+// begin anchors the report's timeline epoch, records the symbolic core
+// count and, unless lean, reserves timeline capacity for n successful
+// attempts; the executor calls it once, before any worker starts.
+func (r *Report) begin(p, n int) {
+	r.P, r.epoch = p, time.Now()
+	if !r.lean && cap(r.Spans) < n {
+		r.Spans = make([]TaskSpan, len(r.Spans), n)
+	}
 }
 
 // since returns the current offset from the timeline epoch.
 func (r *Report) since() time.Duration {
-	r.mu.Lock()
-	e := r.epoch
-	r.mu.Unlock()
-	if e.IsZero() {
+	if r.epoch.IsZero() {
 		return 0
 	}
-	return time.Since(e)
+	return time.Since(r.epoch)
 }
 
 // addSpan records the timeline entry of a successful attempt (or, in
@@ -225,17 +256,6 @@ func (r *Report) addSpan(name string, layer, group, cores int, start, end time.D
 		r.Spans = append(r.Spans, TaskSpan{Name: name, Layer: layer, Group: group, Cores: cores, Start: start, End: end, Composed: composed})
 	} else if !composed {
 		r.busy += time.Duration(cores) * (end - start)
-	}
-	r.mu.Unlock()
-}
-
-// presizeSpans reserves timeline capacity for n successful attempts, so
-// a large schedule's span retention does not pay repeated growth copies.
-// No-op in lean mode (no spans are retained).
-func (r *Report) presizeSpans(n int) {
-	r.mu.Lock()
-	if !r.lean && cap(r.Spans) < n {
-		r.Spans = make([]TaskSpan, len(r.Spans), n)
 	}
 	r.mu.Unlock()
 }
@@ -302,13 +322,18 @@ func (r *Report) Task(name string) TaskReport {
 }
 
 // String renders the report: the totals line always, then one line per
-// task that needed fault handling (attempts > 1 or recovered panics).
+// task that needed fault handling (attempts > 1 or recovered panics). A
+// lean report counts only the tasks with a fault history.
 func (r *Report) String() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var b strings.Builder
-	fmt.Fprintf(&b, "execution report: %d tasks, %d layers done, %d retries, %d recovered panics, %d replans (%d cores lost), wall %v\n",
-		len(r.Tasks), r.Layers, r.Retries, r.Panics, r.Replans, r.LostCores, r.Wall.Round(time.Microsecond))
+	tasks := "tasks"
+	if r.lean {
+		tasks = "tasks with fault history"
+	}
+	fmt.Fprintf(&b, "execution report: %d %s, %d layers done, %d retries, %d recovered panics, %d replans (%d cores lost), wall %v\n",
+		len(r.Tasks), tasks, r.Layers, r.Retries, r.Panics, r.Replans, r.LostCores, r.Wall.Round(time.Microsecond))
 	if r.Resizes > 0 {
 		fmt.Fprintf(&b, "  resizes: %d applied at layer barriers (+%d/-%d cores)\n",
 			r.Resizes, r.GrownCores, r.ShrunkCores)

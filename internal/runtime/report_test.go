@@ -1,9 +1,12 @@
 package runtime
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
+
+	"mtask/internal/graph"
 )
 
 // TestReportStringZeroWall is the regression test for the core-time
@@ -12,7 +15,7 @@ import (
 // must render "n/a" utilization instead of dividing by zero.
 func TestReportStringZeroWall(t *testing.T) {
 	r := NewReport()
-	r.begin(2)
+	r.begin(2, 0)
 	r.startAttempt("t")
 	r.addSpan("t", 0, 0, 2, 0, time.Millisecond, false)
 
@@ -34,5 +37,16 @@ func TestReportStringZeroWall(t *testing.T) {
 	out = r.String()
 	if !strings.Contains(out, "% utilized") {
 		t.Fatalf("timed report lost the utilization percentage:\n%s", out)
+	}
+}
+
+// TestLeanReportStringCountsFaultHistory: a lean report keeps entries only
+// for tasks with a fault history, so its header must not call them "tasks".
+func TestLeanReportStringCountsFaultHistory(t *testing.T) {
+	w, _ := NewWorld(2)
+	body := func(*graph.Task) TaskFunc { return func(*TaskCtx) error { return nil } }
+	rep, err := ExecuteCtx(context.Background(), w, gridSchedule(2, 3, 1), body, WithoutTimeline())
+	if err != nil || !strings.Contains(rep.String(), "0 tasks with fault history,") {
+		t.Fatalf("err %v; a clean lean run of 6 tasks must report 0 tasks with fault history:\n%s", err, rep)
 	}
 }

@@ -20,7 +20,7 @@ import (
 func TestTreeBarrierAbortMixedLevels(t *testing.T) {
 	const p = 8
 	var stats Stats
-	sh := newCommShared(Global, identityRanks(p), &stats, nil)
+	sh := newCommShared(Global, identityRanks(p), &stats, nil, barrierSpin())
 	cause := errors.New("rank 0 bailed")
 	var wg sync.WaitGroup
 	errs := make([]error, p)
@@ -87,7 +87,7 @@ func TestTreeBarrierAbortDuringDataCollectives(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const p = 8
 			var stats Stats
-			sh := newCommShared(Global, identityRanks(p), &stats, nil)
+			sh := newCommShared(Global, identityRanks(p), &stats, nil, barrierSpin())
 			cause := errors.New("injected")
 			var wg sync.WaitGroup
 			aborted := make([]bool, p)
@@ -126,7 +126,7 @@ func TestTreeBarrierAbortDuringDataCollectives(t *testing.T) {
 // sequence and barrier flags all stay at zero.
 func TestSingletonNoSynchronization(t *testing.T) {
 	var stats Stats
-	sh := newCommShared(Global, []int{0}, &stats, nil)
+	sh := newCommShared(Global, []int{0}, &stats, nil, barrierSpin())
 	c := &Comm{shared: sh, rank: 0}
 
 	c.Barrier()
@@ -189,7 +189,7 @@ func TestSingletonNoSynchronization(t *testing.T) {
 func TestSplitRegistryPruned(t *testing.T) {
 	const p, rounds = 8, 10
 	var stats Stats
-	sh := newCommShared(Global, identityRanks(p), &stats, nil)
+	sh := newCommShared(Global, identityRanks(p), &stats, nil, barrierSpin())
 	var wg sync.WaitGroup
 	mustFinish(t, 10*time.Second, func() {
 		for r := 0; r < p; r++ {
@@ -224,7 +224,7 @@ func TestSplitRegistryPruned(t *testing.T) {
 func TestOneBarrierRoundPerCollective(t *testing.T) {
 	const p = 4
 	var stats Stats
-	sh := newCommShared(Global, identityRanks(p), &stats, nil)
+	sh := newCommShared(Global, identityRanks(p), &stats, nil, barrierSpin())
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
 		wg.Add(1)

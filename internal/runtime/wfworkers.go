@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mtask/internal/core"
 	"mtask/internal/graph"
@@ -157,6 +158,11 @@ type wfWorker struct {
 
 	wakeups       int64 // tokens consumed while parked
 	chainLaunches int64 // leader tasks started without parking
+
+	// busy sums the worker's lean cooperative core-time until the pass
+	// folds it into the Report; the pad keeps it off the next worker.
+	busy time.Duration
+	_    [64]byte
 }
 
 // newDispatcher builds the dispatcher of sched resuming at layer from:
@@ -239,10 +245,10 @@ func newDispatcher(w *World, sched *core.Schedule, from int, body func(t *graph.
 // and the first global collective fails fast with ErrGlobalInWavefront.
 func (d *wfDispatcher) pass(ctx context.Context, to int) (done int, err error, failedCores int) {
 	if d.cfg.wavefront || d.cfg.prefix != "" {
-		d.global = newLazyGlobal(Global, d.ranks, nil, nil)
+		d.global = newLazyGlobal(Global, d.ranks, nil, nil, 0)
 		d.global.abort(ErrGlobalInWavefront)
 	} else {
-		d.global = newLazyGlobal(Global, d.ranks, &d.w.Stats, d.cfg.rec)
+		d.global = newLazyGlobal(Global, d.ranks, &d.w.Stats, d.cfg.rec, d.cfg.spin)
 		defer d.global.abort(errLayerDone)
 	}
 	if lt := d.cfg.policy.LayerTimeout; lt > 0 && !d.cfg.wavefront {
@@ -258,6 +264,11 @@ func (d *wfDispatcher) pass(ctx context.Context, to int) (done int, err error, f
 		go d.workers[r].run()
 	}
 	d.wg.Wait()
+	d.rep.mu.Lock()
+	for r := range d.workers {
+		d.rep.busy, d.workers[r].busy = d.rep.busy+d.workers[r].busy, 0
+	}
+	d.rep.mu.Unlock()
 
 	if len(d.errs) == 0 {
 		if d.done != to {
@@ -415,7 +426,7 @@ func (wk *wfWorker) coopAttempt(t *graph.Task, name string, fn TaskFunc, attempt
 	d := wk.d
 	lo, hi := td.Lo, td.Hi
 	size := hi - lo
-	gsh := newCommShared(Group, d.ranks[lo:hi], &d.w.Stats, d.cfg.rec)
+	gsh := newCommShared(Group, d.ranks[lo:hi], &d.w.Stats, d.cfg.rec, d.cfg.spin)
 
 	if size > 1 {
 		wk.gsh, wk.fn, wk.src, wk.name, wk.attempt = gsh, fn, t, name, attempt

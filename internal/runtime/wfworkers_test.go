@@ -557,3 +557,59 @@ func TestWithoutTimelineLeanReport(t *testing.T) {
 		}
 	}
 }
+
+func TestLeanReportConcurrentFaults(t *testing.T) {
+	// The lean report's lock-free paths under concurrency: P = 8 workers
+	// run 2 000 tasks while ~5% of them fail (scripted errors and panics
+	// at attempt 1, some again at attempt 2, on either group rank), so
+	// history entries are created while clean tasks number their attempts
+	// and sum their core-time without the report's lock. Every faulted
+	// task's history must equal the full report's and the sequential
+	// reference's, no clean task may gain an entry, and the totals and
+	// the core-time bound must hold. Meant to run under -race.
+	const P, layers, gsize = 8, 500, 2
+	sched := gridSchedule(P, layers, gsize)
+	rng := rand.New(rand.NewSource(32))
+	inj := &fault.Injector{}
+	faulted := map[string]bool{}
+	kinds := []fault.Kind{fault.Error, fault.Panic}
+	for li := 0; li < layers; li++ {
+		for c := 0; c < P/gsize; c++ {
+			if rng.Float64() >= 0.05 {
+				continue
+			}
+			name := "g" + strconv.Itoa(c) + "." + strconv.Itoa(li)
+			faulted[name] = true
+			for attempt, n := 1, 1+rng.Intn(2); attempt <= n; attempt++ {
+				inj.Script = append(inj.Script, fault.Script{Task: name, Attempt: attempt, Rank: rng.Intn(gsize), Kind: kinds[rng.Intn(2)]})
+			}
+		}
+	}
+	if len(faulted) < 50 {
+		t.Fatalf("only %d faulted tasks: the script does not exercise concurrent history creation", len(faulted))
+	}
+	faults := []ExecOption{WithPolicy(fault.Policy{MaxRetries: 3}), WithInjector(inj)}
+	ref, rrep := referenceRecorded(t, sched, append(faults, WithoutTimeline())...)
+	for _, mode := range execModes {
+		_, full := runRecorded(t, sched, P, append(faults, mode.opts...)...)
+		got, lean := runRecorded(t, sched, P, append(faults, append(mode.opts, WithoutTimeline())...)...)
+		compareBitwise(t, ref, got)
+		if len(lean.Tasks) != len(faulted) || len(rrep.Tasks) != len(faulted) {
+			t.Fatalf("%s: lean report holds %d entries, reference %d, want the %d faulted tasks",
+				mode.name, len(lean.Tasks), len(rrep.Tasks), len(faulted))
+		}
+		for name := range faulted {
+			tr := lean.Task(name)
+			if tr != full.Task(name) || tr != rrep.Task(name) || tr.Attempts < 2 {
+				t.Fatalf("%s: %s history lean %+v, full %+v, reference %+v", mode.name, name, tr, full.Task(name), rrep.Task(name))
+			}
+		}
+		if lean.Retries != full.Retries || lean.Retries != rrep.Retries || lean.Panics != full.Panics || lean.Panics != rrep.Panics {
+			t.Fatalf("%s: retries/panics lean %d/%d, full %d/%d, reference %d/%d", mode.name,
+				lean.Retries, lean.Panics, full.Retries, full.Panics, rrep.Retries, rrep.Panics)
+		}
+		if busy, _, _ := lean.Utilization(); busy <= 0 || busy > time.Duration(P)*lean.Wall {
+			t.Fatalf("%s: lean busy core-time %v outside (0, P×Wall = %v]", mode.name, busy, time.Duration(P)*lean.Wall)
+		}
+	}
+}

@@ -79,7 +79,7 @@ func (w *World) Run(fn func(c *Comm)) {
 // aborts the communicator so its peers cannot deadlock at a collective.
 // The per-rank errors are aggregated with errors.Join in rank order.
 func (w *World) RunCtx(ctx context.Context, fn func(c *Comm) error) error {
-	shared := newCommShared(Global, identityRanks(w.P), &w.Stats, w.Trace)
+	shared := newCommShared(Global, identityRanks(w.P), &w.Stats, w.Trace, barrierSpin())
 	stop := make(chan struct{})
 	if ctx.Done() != nil {
 		go func() {

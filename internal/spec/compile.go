@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -37,9 +38,23 @@ func Compile(src string) (*Unit, error) {
 	return &Unit{Program: prog, Graph: g}, nil
 }
 
+// maxUnrolled caps the loop iterations plus activations one compilation
+// unrolls: counting loops are unrolled eagerly, so without a cap a bound
+// like 1:1e12 would never finish.
+const maxUnrolled = 100_000
+
 // compiler carries the declarations during graph construction.
 type compiler struct {
-	prog *Program
+	prog     *Program
+	unrolled int // loop iterations and activations emitted so far
+}
+
+// unroll counts one more loop iteration or activation against maxUnrolled.
+func (c *compiler) unroll(line int) error {
+	if c.unrolled++; c.unrolled > maxUnrolled {
+		return fmt.Errorf("spec:%d: program unrolls to more than %d loop iterations and activations", line, maxUnrolled)
+	}
+	return nil
 }
 
 // depState tracks data-dependence information per variable instance key
@@ -122,7 +137,7 @@ func (d *depState) write(t graph.TaskID, key, base string, bytes int) []graph.Ta
 // loop-variable environment.
 func (c *compiler) evalExpr(e *Expr, env map[string]int) (int, error) {
 	if e.IsNum {
-		return int(e.Num), nil
+		return toInt(e.Num, e)
 	}
 	if e.Index != nil {
 		return 0, fmt.Errorf("spec:%d: indexed expression %s not allowed here", e.Line, e)
@@ -134,9 +149,18 @@ func (c *compiler) evalExpr(e *Expr, env map[string]int) (int, error) {
 		if !cst.Known {
 			return 0, fmt.Errorf("spec:%d: constant %q has no value (declared as ...)", e.Line, e.Name)
 		}
-		return int(cst.Value), nil
+		return toInt(cst.Value, e)
 	}
 	return 0, fmt.Errorf("spec:%d: unknown name %q in constant expression", e.Line, e.Name)
+}
+
+// toInt truncates the value of e to an int; a value outside the int range
+// (or NaN) is an error, not an implementation-defined conversion.
+func toInt(v float64, e *Expr) (int, error) {
+	if !(math.Abs(v) < 1<<63) {
+		return 0, fmt.Errorf("spec:%d: %s = %g is out of the integer range", e.Line, e, v)
+	}
+	return int(v), nil
 }
 
 // instanceKey resolves an argument expression to its instance key and base
@@ -207,6 +231,9 @@ func (c *compiler) emitCall(call *CallStmt, env map[string]int, d *depState) err
 	if len(call.Args) != len(decl.Params) {
 		return fmt.Errorf("spec:%d: task %q expects %d arguments, got %d",
 			call.Line, call.Task, len(decl.Params), len(call.Args))
+	}
+	if err := c.unroll(call.Line); err != nil {
+		return err
 	}
 	// Render the resolved activation name.
 	argStrs := make([]string, len(call.Args))
@@ -290,6 +317,9 @@ func (c *compiler) emitLoop(loop *LoopStmt, env map[string]int, d *depState) err
 	}
 	var iterTasks [][]graph.TaskID
 	for v := lo; v <= hi; v++ {
+		if err := c.unroll(loop.Line); err != nil {
+			return err
+		}
 		inner := make(map[string]int, len(env)+1)
 		for k, val := range env {
 			inner[k] = val
