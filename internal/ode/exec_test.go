@@ -420,9 +420,9 @@ func TestExecStateBytesPerTask(t *testing.T) {
 }
 
 func TestExecStateAbandonedAttemptRaceFree(t *testing.T) {
-	// A short TaskTimeout selects the spawned-attempt path, whose timed-out
-	// attempts are aborted and, past the grace period, abandoned while the
-	// retry runs. Two first attempts time out on a scripted delay of rank 0
+	// A short TaskTimeout runs every rank's share of an attempt on its own
+	// goroutine; timed-out attempts are aborted and, past the grace period,
+	// abandoned while the retry runs. Two first attempts time out on a scripted delay of rank 0
 	// (its peers are aborted in the gather, holding free-list vectors), and
 	// rank 0 of a third hangs inside the body past timeout and grace, so its
 	// goroutine computes into its destination while the retry publishes and

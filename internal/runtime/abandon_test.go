@@ -91,3 +91,55 @@ func TestAbandonGraceAbandonsHungBody(t *testing.T) {
 		t.Fatal("straggler still blocked in the global collective after the layer ended")
 	}
 }
+
+func TestDeadlineAbortsAttemptAtOnce(t *testing.T) {
+	// Under a deadline policy the end of the attempt context — a
+	// TaskTimeout, a LayerTimeout or caller cancellation — aborts the
+	// group communicator at once, not after the abandon grace. Rank 1
+	// blocks in a group barrier that rank 0 never joins; rank 0 ignores
+	// its context and waits until rank 1 left the barrier. Only the abort
+	// releases rank 1, so the attempt settles long before the 10 s grace,
+	// and nothing is abandoned.
+	const grace = 10 * time.Second
+	sched := gridSchedule(2, 1, 2)
+	cases := []struct {
+		name   string
+		pol    fault.Policy
+		cancel bool // cancel the caller's context instead of timing out
+		opts   []ExecOption
+		cause  error
+	}{
+		{"task timeout, layered", fault.Policy{TaskTimeout: 20 * time.Millisecond}, false, nil, context.DeadlineExceeded},
+		{"task timeout, wavefront", fault.Policy{TaskTimeout: 20 * time.Millisecond}, false, []ExecOption{WithWavefront()}, context.DeadlineExceeded},
+		{"layer timeout", fault.Policy{LayerTimeout: 20 * time.Millisecond}, false, nil, context.DeadlineExceeded},
+		{"cancellation", fault.DefaultPolicy(), true, []ExecOption{WithWavefront()}, context.Canceled},
+	}
+	for _, tc := range cases {
+		ctx, cancel := context.WithCancel(context.Background())
+		if tc.cancel {
+			time.AfterFunc(20*time.Millisecond, cancel)
+		}
+		left := make(chan struct{})
+		body := func(*graph.Task) TaskFunc {
+			return func(c *TaskCtx) error {
+				if c.Group.Rank() == 0 {
+					<-left // ignores c.Ctx
+					return nil
+				}
+				defer close(left)
+				c.Group.Barrier()
+				return nil
+			}
+		}
+		w, _ := NewWorld(2)
+		start := time.Now()
+		rep, err := ExecuteCtx(ctx, w, sched, body, append([]ExecOption{WithPolicy(tc.pol), WithAbandonGrace(grace)}, tc.opts...)...)
+		cancel()
+		if elapsed := time.Since(start); elapsed > grace/2 {
+			t.Fatalf("%s: returned after %v: the attempt was not aborted at once", tc.name, elapsed)
+		}
+		if !errors.Is(err, tc.cause) || strings.Contains(err.Error(), "abandoned after") {
+			t.Fatalf("%s: error %v, want %v without an abandoned share\n%s", tc.name, err, tc.cause, rep)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mtask/internal/fault"
 	"mtask/internal/graph"
 	"mtask/internal/obs"
 )
@@ -77,6 +78,17 @@ func benchScaledDispatch(b *testing.B, opts ...ExecOption) {
 
 func BenchmarkExecScaledDispatchLayered(b *testing.B) { benchScaledDispatch(b) }
 func BenchmarkExecScaledDispatchWorkers(b *testing.B) { benchScaledDispatch(b, WithWavefront()) }
+
+// The deadline pair is the scaled-dispatch pair under fault.DefaultPolicy,
+// whose never-firing TaskTimeout runs every rank's share of an attempt on
+// a goroutine its worker waits for: the price of abandonable attempts.
+func BenchmarkExecScaledDispatchLayeredDeadline(b *testing.B) {
+	benchScaledDispatch(b, WithPolicy(fault.DefaultPolicy()))
+}
+
+func BenchmarkExecScaledDispatchWorkersDeadline(b *testing.B) {
+	benchScaledDispatch(b, WithPolicy(fault.DefaultPolicy()), WithWavefront())
+}
 
 // The recorder-overhead pair: NilRecorder pins the no-op fast path of an
 // unused WithRecorder(nil) against the plain dispatch baseline (the two

@@ -282,11 +282,11 @@ func newCommShared(kind CommKind, worldRanks []int, stats *Stats, rec *obs.Recor
 }
 
 // release returns the communicator shell to the pool. Callers must
-// guarantee that no goroutine still holds a handle: the fault executor
-// releases an attempt's group communicator only after the attempt's done
-// channel fired (never on the abandoned-timeout path, where stragglers may
-// still be blocked on it). Children are not released recursively — they
-// simply become garbage with their parent's references dropped.
+// guarantee that no goroutine still holds a handle: the dispatcher
+// releases an attempt's group communicator only after every rank's share
+// returned, and never once the attempt context ended, when an abandoned
+// share may still be blocked on it. Children are not released recursively
+// — they simply become garbage with their parent's references dropped.
 func (s *commShared) release() {
 	for p := 0; p < 2; p++ {
 		for i := range s.fslots[p] {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"mtask/internal/core"
@@ -92,9 +91,9 @@ func WithHierarchicalReplanner(r HierarchicalReplanner) ExecOption {
 // ErrResizeInWavefront.
 func WithResizer(r Resizer) ExecOption { return func(c *execConfig) { c.resize = r } }
 
-// WithAbandonGrace sets how long the executor waits, after aborting a
-// timed-out attempt's communicator, for the attempt's goroutines to settle
-// before abandoning them (default 1s). Bodies blocked in collectives wake
+// WithAbandonGrace sets how long each rank worker waits, after aborting a
+// timed-out attempt's communicator, for its share of the attempt to return
+// before abandoning it (default 1s). Bodies blocked in collectives wake
 // immediately; only a body hung in pure computation runs into the grace
 // period (and is then leaked — Go provides no way to kill it).
 func WithAbandonGrace(d time.Duration) ExecOption {
@@ -365,33 +364,31 @@ func runLayered(ctx context.Context, w *World, sched *core.Schedule, body func(t
 // runScheduledTask runs one scheduled task (expanding a contracted chain
 // back to its source tasks) on its rank interval [td.Lo, td.Hi), with the
 // policy's full retry loop around each source task; the task's leader
-// calls it once the task's dependences are satisfied. With a non-nil coop
-// the attempts run cooperatively on that rank worker and its followers;
-// otherwise each attempt is abandonable and spawns its goroutines via
-// runAttempt. The second result reports whether a failure exhausted the
-// retry budget — the degrade-and-replan trigger that costs the group its
-// cores. The clock is read once per attempt boundary: an attempt starts
-// where the chain's previous successful attempt ended, so a chain's spans
-// are contiguous. A lean report's cooperative attempts sum their
-// core-time on their own worker (folded in when the pass joins) instead
-// of taking rep's lock.
-func runScheduledTask(ctx context.Context, w *World, sched *core.Schedule, td *core.TaskDeps,
-	global *lazyGlobal, body func(t *graph.Task) TaskFunc, cfg *execConfig, rep *Report,
-	coop *wfWorker) (error, bool) {
+// worker calls it once the task's dependences are satisfied, and every
+// attempt runs on the workers of the interval (coopAttempt). The second
+// result reports whether a failure exhausted the retry budget — the
+// degrade-and-replan trigger that costs the group its cores. The clock is
+// read once per attempt boundary: an attempt starts where the chain's
+// previous successful attempt ended, so a chain's spans are contiguous. A
+// lean report's attempts sum their core-time on the leader's worker
+// (folded in when the pass joins) instead of taking the report's lock.
+func (wk *wfWorker) runScheduledTask(td *core.TaskDeps) (error, bool) {
+	d := wk.d
+	ctx, cfg, rep := d.ctx, d.cfg, d.rep
 
 	// Inline SourceTasks: the single-task case must not allocate a slice
 	// per dispatch (the cooperative hot path is allocation-free).
 	var single [1]graph.TaskID
-	srcs := sched.Graph.Task(td.ID).Members
+	srcs := d.sched.Graph.Task(td.ID).Members
 	if len(srcs) == 0 {
 		single[0] = td.ID
 		srcs = single[:]
 	}
 	tstart := rep.since()
 	for _, src := range srcs {
-		t := sched.Source.Task(src)
+		t := d.sched.Source.Task(src)
 		name := cfg.prefix + t.Name // "" + name does not allocate
-		fn := body(t)
+		fn := d.body(t)
 		if fn == nil {
 			return fmt.Errorf("runtime: no body for task %q", name), false
 		}
@@ -401,53 +398,21 @@ func runScheduledTask(ctx context.Context, w *World, sched *core.Schedule, td *c
 				return fmt.Errorf("runtime: task %q: %w", name, err), false
 			}
 			attempt := rep.startAttempt(name)
-			var aerr error
-			if coop != nil {
-				aerr = coop.coopAttempt(t, name, fn, attempt, td)
-			} else {
-				aerr = runAttempt(ctx, w, t, name, fn, attempt, td, global, cfg, rep)
-			}
+			aerr := wk.coopAttempt(t, name, fn, attempt, td)
 			if aerr == nil {
 				tend := rep.since()
 				composed := t.Kind == graph.KindComposed
-				if coop == nil || !rep.lean {
+				if !rep.lean {
 					rep.addSpan(name, td.Layer, int(td.Group), td.Hi-td.Lo, tstart, tend, composed)
 				} else if !composed {
-					coop.busy += time.Duration(td.Hi-td.Lo) * (tend - tstart)
+					wk.busy += time.Duration(td.Hi-td.Lo) * (tend - tstart)
 				}
 				tstart = tend
 				break
 			}
-			rep.failed(name)
-			cfg.rec.Instant("fail:"+name, "fault", obs.ControlRank, cfg.rec.Now())
-			if ctx.Err() != nil {
-				// Layer timeout or caller cancellation: not a core
-				// failure, do not escalate to degrade-and-replan.
-				return fmt.Errorf("runtime: task %q: %w", name, aerr), false
-			}
-			if errors.Is(aerr, ErrGlobalInWavefront) {
-				// A body touched a poisoned TaskCtx.Global: a programming
-				// error, not a fault — fail fast without retries or
-				// core-loss escalation.
-				return fmt.Errorf("runtime: task %q: %w", name, aerr), false
-			}
-			if !cfg.policy.Retryable(aerr) || retries >= cfg.policy.MaxRetries {
-				if cfg.policy.OnExhausted != nil {
-					cfg.policy.OnExhausted(name, attempt, aerr)
-				}
-				return fmt.Errorf("runtime: task %q failed after %d attempt(s): %w", name, attempt, aerr), true
-			}
 			retries++
-			rep.retried(name)
-			cfg.rec.Instant("retry:"+name, "fault", obs.ControlRank, cfg.rec.Now())
-			cfg.rec.Counter("fault.retries").Add(1)
-			if d := cfg.policy.Backoff(name, retries); d > 0 {
-				timer := time.NewTimer(d)
-				select {
-				case <-timer.C:
-				case <-ctx.Done():
-					timer.Stop()
-				}
+			if err, exhausted := wk.failedAttempt(name, attempt, retries, aerr); err != nil {
+				return err, exhausted
 			}
 			tstart = rep.since()
 		}
@@ -455,81 +420,52 @@ func runScheduledTask(ctx context.Context, w *World, sched *core.Schedule, td *c
 	return nil, false
 }
 
-// runAttempt executes one attempt of one task on a fresh group
-// communicator: the SPMD body runs once per group rank, panics are
-// recovered into *PanicError, a failing rank aborts the group communicator
-// (releasing peers blocked in collectives), and a watchdog enforces the
-// per-attempt deadline. On timeout the communicator is aborted and, if the
-// attempt still does not settle within the abandon grace, its goroutines
-// are abandoned (their errors are no longer read — no data race).
-func runAttempt(parent context.Context, w *World, t *graph.Task, name string, fn TaskFunc, attempt int,
-	td *core.TaskDeps, global *lazyGlobal, cfg *execConfig, rep *Report) error {
-
-	lo, size := td.Lo, td.Hi-td.Lo
-	gsh := newCommShared(Group, global.ranks[lo:lo+size], &w.Stats, cfg.rec, cfg.spin)
-
-	actx := parent
-	var cancel context.CancelFunc
-	if cfg.policy.TaskTimeout > 0 {
-		actx, cancel = context.WithTimeout(parent, cfg.policy.TaskTimeout)
-	} else {
-		actx, cancel = context.WithCancel(parent)
+// failedAttempt records a failed attempt of the named task and decides,
+// per the policy, between giving up — returning the task's error and
+// whether the retry budget was exhausted — and sleeping the backoff
+// before retry number retry (nil). Kept out of runScheduledTask, it keeps
+// the leader's stack frame on the success path small.
+func (wk *wfWorker) failedAttempt(name string, attempt, retry int, aerr error) (error, bool) {
+	ctx, cfg, rep := wk.d.ctx, wk.d.cfg, wk.d.rep
+	rep.failed(name)
+	cfg.rec.Instant("fail:"+name, "fault", obs.ControlRank, cfg.rec.Now())
+	if ctx.Err() != nil {
+		// Layer timeout or caller cancellation: not a core failure, do
+		// not escalate to degrade-and-replan.
+		return fmt.Errorf("runtime: task %q: %w", name, aerr), false
 	}
-	defer cancel()
-
-	errs := make([]error, size)
-	done := make(chan struct{})
-	go func() {
-		var wg sync.WaitGroup
-		for r := 0; r < size; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				errs[r] = runRankAttempt(&TaskCtx{
-					Group:      &Comm{shared: gsh, rank: r},
-					Global:     &Comm{lazy: global, rank: lo + r},
-					Task:       t,
-					Layer:      td.Layer,
-					GroupIndex: int(td.Group),
-					Ctx:        actx,
-				}, name, fn, attempt, gsh, cfg)
-			}(r)
+	if errors.Is(aerr, ErrGlobalInWavefront) {
+		// A body touched a poisoned TaskCtx.Global: a programming error,
+		// not a fault — fail fast without retries or core-loss escalation.
+		return fmt.Errorf("runtime: task %q: %w", name, aerr), false
+	}
+	if !cfg.policy.Retryable(aerr) || retry > cfg.policy.MaxRetries {
+		if cfg.policy.OnExhausted != nil {
+			cfg.policy.OnExhausted(name, attempt, aerr)
 		}
-		wg.Wait()
-		close(done)
-	}()
-
-	select {
-	case <-done:
-		err := settleAttempt(name, rep, errs)
-		gsh.release() // attempt settled: no goroutine holds the comm anymore
-		return err
-	case <-actx.Done():
-		cause := actx.Err()
-		gsh.abort(fmt.Errorf("task %q attempt %d: %w", name, attempt, cause))
-		timer := time.NewTimer(cfg.grace)
-		defer timer.Stop()
+		return fmt.Errorf("runtime: task %q failed after %d attempt(s): %w", name, attempt, aerr), true
+	}
+	rep.retried(name)
+	cfg.rec.Instant("retry:"+name, "fault", obs.ControlRank, cfg.rec.Now())
+	cfg.rec.Counter("fault.retries").Add(1)
+	if d := cfg.policy.Backoff(name, retry); d > 0 {
+		timer := time.NewTimer(d)
 		select {
-		case <-done:
-			_ = settleAttempt(name, rep, errs) // count panics; timeout is the primary error
-			gsh.release()
-			return fmt.Errorf("task %q attempt %d: %w", name, attempt, cause)
 		case <-timer.C:
-			// Abandoned: the attempt's goroutines may still be running, so
-			// errs must not be read. Bodies blocked in collectives have
-			// been released by the abort; only pure computation can hang.
-			return fmt.Errorf("task %q attempt %d abandoned after %v grace: %w", name, attempt, cfg.grace, cause)
+		case <-ctx.Done():
+			timer.Stop()
 		}
 	}
+	return nil, false
 }
 
 // runRankAttempt executes one rank's share of one group attempt of the
 // task named name: the injector consult, the body call, panic recovery
 // (*PanicError) with *AbortError classification, the communicator abort on
-// failure and the per-rank attempt span. It is shared by runAttempt, which
-// runs it on a fresh goroutine per rank, and by the rank workers, which
-// call it in place with reused TaskCtx scratch. tc must be fully populated
-// and its Group handle must resolve to gsh.
+// failure and the per-rank attempt span. runShare calls it in place on
+// the worker's scratch, or on a goroutine over a heap share under a
+// deadline. tc must be fully populated and its Group handle must resolve
+// to gsh.
 func runRankAttempt(tc *TaskCtx, name string, fn TaskFunc, attempt int, gsh *commShared, cfg *execConfig) (err error) {
 	r := tc.Group.rank
 	if cfg.rec != nil {
@@ -603,8 +539,8 @@ func settleAttempt(name string, rep *Report, errs []error) error {
 		return errors.Join(real...)
 	}
 	if len(aborts) > 0 {
-		// Aborted without a local originating error (e.g. the watchdog
-		// fired between completion and the select): surface the aborts.
+		// Aborted without a local originating error (e.g. the deadline
+		// struck between two ranks' completions): surface the aborts.
 		return errors.Join(aborts...)
 	}
 	return nil

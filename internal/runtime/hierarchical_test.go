@@ -104,22 +104,23 @@ func TestPropertyHierarchicalMatchesSequential(t *testing.T) {
 	// sequential reference recursing into the composed task; the top-level
 	// spans and every trip's inner spans must each pass the execution
 	// checks against their own schedule; Report.Layers counts top-level
-	// layers; and busy core-time fits in P×Wall. With cooperative attempts
-	// the peak goroutine count is the P top-level workers plus the q
-	// workers of the while group; a policy deadline (DefaultPolicy's
-	// TaskTimeout) spawns goroutines per attempt instead, at both levels.
+	// layers; and busy core-time fits in P×Wall. Without a deadline the
+	// peak goroutine count is the P top-level workers plus the q workers
+	// of the while group; under a policy deadline (DefaultPolicy's
+	// TaskTimeout) every worker of both levels may wait on one goroutine
+	// running its share, 2(P+q).
 	rng := rand.New(rand.NewSource(5))
-	spawned := fault.DefaultPolicy()
-	spawned.MaxRetries = 20
-	spawned.BaseBackoff = 50 * time.Microsecond
-	spawned.MaxBackoff = time.Millisecond // a composed retry re-runs the whole loop
-	coop := spawned
+	deadline := fault.DefaultPolicy()
+	deadline.MaxRetries = 20
+	deadline.BaseBackoff = 50 * time.Microsecond
+	deadline.MaxBackoff = time.Millisecond // a composed retry re-runs the whole loop
+	coop := deadline
 	coop.TaskTimeout = 0
 	faults := []struct {
-		name   string
-		pol    *fault.Policy
-		spawns bool
-	}{{"no faults", nil, false}, {"faults", &coop, false}, {"faults, spawned attempts", &spawned, true}}
+		name     string
+		pol      *fault.Policy
+		deadline bool
+	}{{"no faults", nil, false}, {"faults", &coop, false}, {"faults, deadline", &deadline, true}}
 	for trial := 0; trial < 6; trial++ {
 		P := []int{4, 6, 8}[trial%3]
 		inner := randomExecDAG(rng)
@@ -179,15 +180,16 @@ func TestPropertyHierarchicalMatchesSequential(t *testing.T) {
 				var out sync.Map
 				var peak atomic.Int64
 				baseline := liveGoroutines()
+				bound := P + q
+				if fc.deadline {
+					bound *= 2
+				}
 				probe := func() {
-					if fc.spawns {
-						return
-					}
 					// Confirm a high NumGoroutine sample with exact counts
 					// (see TestWavefrontPeakGoroutinesConstant), the second
 					// one after a worker of a joined pass had time to exit.
 					n := int64(runtime.NumGoroutine())
-					for i := 0; n > int64(baseline+P+q) && i < 2; i++ {
+					for i := 0; n > int64(baseline+bound) && i < 2; i++ {
 						if i > 0 {
 							time.Sleep(time.Millisecond)
 						}
@@ -223,9 +225,84 @@ func TestPropertyHierarchicalMatchesSequential(t *testing.T) {
 				if busy, _, _ := rep.Utilization(); busy > time.Duration(P)*rep.Wall {
 					t.Fatalf("trial %d, %s: busy %v above P×Wall = %v", trial, mode.name, busy, time.Duration(P)*rep.Wall)
 				}
-				if extra := int(peak.Load()) - baseline; extra > P+q {
-					t.Fatalf("trial %d, %s, %s: %d extra goroutines, want at most P+q = %d", trial, mode.name, fc.name, extra, P+q)
+				if extra := int(peak.Load()) - baseline; extra > bound {
+					t.Fatalf("trial %d, %s, %s: %d extra goroutines, want at most %d", trial, mode.name, fc.name, extra, bound)
 				}
+			}
+		}
+	}
+}
+
+func TestHierarchicalReplannerResumesAtCheckpoint(t *testing.T) {
+	// WithHierarchicalReplanner end to end: a scripted core loss on the
+	// sibling task beside a while node exhausts its group in layer 1, so
+	// the execution replans the whole hierarchy on the survivors and
+	// resumes at the layer-1 checkpoint, where the while node runs its
+	// trips again on sub-schedules for its new group size. In both pass
+	// widths, with and without a deadline: one replan, the sibling's cores
+	// lost, and outputs bitwise equal to the reference run of the old
+	// hierarchy up to the checkpoint and of the replanned one after it.
+	const P, n, checkpoint = 8, 2, 1
+	inner := randomExecDAG(rand.New(rand.NewSource(3)))
+	top := graph.New("top")
+	init := top.AddBasic("init", 1e6)
+	loop := top.AddTask(&graph.Task{Name: "while", Kind: graph.KindComposed, Sub: inner, Work: inner.TotalWork()})
+	// Communication makes side scale sublinearly, so the planner runs it
+	// beside the while node on a group of its own.
+	side := top.AddTask(&graph.Task{Name: "side", Kind: graph.KindBasic, Work: 1e6, CommBytes: 1 << 22, CommCount: 16})
+	fini := top.AddBasic("fini", 1e6)
+	top.MustEdge(init, loop, 8)
+	top.MustEdge(init, side, 8)
+	top.MustEdge(loop, fini, 8)
+	top.MustEdge(side, fini, 8)
+	hs := scheduleHierarchical(t, top, P)
+	lost := coresOf(t, hs.Top, "side")
+	if lost >= P {
+		t.Fatalf("side shares the while node's group (%d of %d cores): nothing survives its loss", lost, P)
+	}
+	replanned := scheduleHierarchical(t, top, P-lost)
+	t.Logf("side on %d of %d cores, while on %d", lost, P, coresOf(t, hs.Top, "while"))
+
+	var refOut sync.Map
+	cfg := newExecConfig(nil)
+	ref := NewReport()
+	ref.begin(P, 0)
+	for _, part := range []struct {
+		hs       *core.HierarchicalSchedule
+		from, to int
+	}{{hs, 0, checkpoint}, {replanned, checkpoint, len(replanned.Top.Layers)}} {
+		bodies := sequentialBodies(part.hs, recordingBody(&refOut), trips(n), cfg, ref)
+		if err := sequential(part.hs.Top, part.from, part.to, bodies, cfg, ref); err != nil {
+			t.Fatalf("reference: %v\n%s", err, ref)
+		}
+	}
+	want := recordings(&refOut)
+
+	inj := &fault.Injector{Script: []fault.Script{{Task: "side", Attempt: 1, Rank: 0, Kind: fault.CoreLoss}}}
+	for _, deadline := range []bool{false, true} {
+		pol := fault.DefaultPolicy()
+		pol.BaseBackoff = 50 * time.Microsecond
+		pol.DegradeAndReplan = true
+		if !deadline {
+			pol.TaskTimeout = 0
+		}
+		for _, mode := range execModes {
+			survivors := 0
+			replan := func(_ context.Context, s int) (*core.HierarchicalSchedule, error) {
+				survivors = s
+				return scheduleHierarchical(t, top, s), nil
+			}
+			w, _ := NewWorld(P)
+			var out sync.Map
+			rep, err := ExecuteHierarchicalCtx(context.Background(), w, hs, recordingBody(&out), trips(n),
+				append([]ExecOption{WithPolicy(pol), WithInjector(inj), WithHierarchicalReplanner(replan)}, mode.opts...)...)
+			if err != nil {
+				t.Fatalf("%s, deadline %v: %v\n%s", mode.name, deadline, err, rep)
+			}
+			compareBitwise(t, want, recordings(&out))
+			if rep.Replans != 1 || rep.LostCores != lost || survivors != P-lost || rep.Layers != len(hs.Top.Layers) {
+				t.Fatalf("%s, deadline %v: %d replans on %d survivors, %d cores lost, %d layers done; want 1, %d, %d, %d\n%s",
+					mode.name, deadline, rep.Replans, survivors, rep.LostCores, rep.Layers, P-lost, lost, len(hs.Top.Layers), rep)
 			}
 		}
 	}

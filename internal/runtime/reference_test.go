@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,12 +14,13 @@ import (
 
 // runSequential is the reference the dispatcher is compared against: an
 // interpreter that runs the scheduled tasks of layers [from, to) one at a
-// time in schedule order, every attempt on fresh goroutines (runAttempt).
-// It shares the attempt loop with the dispatcher — retries, panic
-// isolation and attempt numbering are the injector's contract — but none
-// of the dispatch: no counters, chains, parking or attempt publication.
-// One task at a time leaves no epoch for a global collective, so
-// TaskCtx.Global is poisoned as in wavefront mode.
+// time in schedule order. It shares the attempt loop and the attempt
+// itself with the dispatcher — retries, panic isolation and attempt
+// numbering are the injector's contract, and an attempt runs on the
+// workers of its group's ranks — but none of the dispatch: no counters,
+// no chains, no concurrently running tasks. One task at a time leaves no
+// epoch for a global collective, so TaskCtx.Global is poisoned as in
+// wavefront mode.
 func runSequential(t *testing.T, sched *core.Schedule, from, to int, body func(t *graph.Task) TaskFunc,
 	opts ...ExecOption) *Report {
 
@@ -38,19 +40,45 @@ func runSequential(t *testing.T, sched *core.Schedule, from, to int, body func(t
 // sequential is runSequential's interpreter, reporting into rep under the
 // task names of cfg's level.
 func sequential(sched *core.Schedule, from, to int, body func(t *graph.Task) TaskFunc, cfg *execConfig, rep *Report) error {
-	prec, err := core.PrecedenceOf(sched)
+	w, _ := NewWorld(sched.P)
+	d, err := newDispatcher(w, sched, from, body, cfg, rep)
 	if err != nil {
 		return err
 	}
-	w, _ := NewWorld(sched.P)
-	global := newLazyGlobal(Global, identityRanks(sched.P), nil, nil, cfg.spin)
-	global.abort(ErrGlobalInWavefront)
-	for _, id := range prec.Scheduled {
-		td := prec.Tasks[id]
+	d.ctx, d.to = context.Background(), to
+	d.global = newLazyGlobal(Global, d.ranks, nil, nil, cfg.spin)
+	d.global.abort(ErrGlobalInWavefront)
+	defer func() {
+		rep.mu.Lock()
+		for r := range d.workers {
+			rep.busy += d.workers[r].busy
+		}
+		rep.mu.Unlock()
+	}()
+	for _, id := range d.prec.Scheduled {
+		td := d.prec.Tasks[id]
 		if td.Layer < from || td.Layer >= to {
 			continue
 		}
-		if err, _ := runScheduledTask(context.Background(), w, sched, td, global, body, cfg, rep, nil); err != nil {
+		var followers sync.WaitGroup
+		for r := td.Lo + 1; r < td.Hi; r++ {
+			followers.Add(1)
+			go func(wk *wfWorker) {
+				defer followers.Done()
+				wk.follow(td)
+			}(&d.workers[r])
+		}
+		err, _ := d.workers[td.Lo].runScheduledTask(td)
+		settled := wfDone
+		if err != nil {
+			settled = wfSkipped
+		}
+		d.state[id].Store(settled)
+		for r := td.Lo + 1; r < td.Hi; r++ {
+			d.wakeWorker(r)
+		}
+		followers.Wait()
+		if err != nil {
 			return err
 		}
 	}

@@ -248,15 +248,11 @@ func (r *Report) since() time.Duration {
 	return time.Since(r.epoch)
 }
 
-// addSpan records the timeline entry of a successful attempt (or, in
-// lean mode, just its core-time contribution).
+// addSpan records the timeline entry of a successful attempt (a lean
+// report sums core-time on the workers instead).
 func (r *Report) addSpan(name string, layer, group, cores int, start, end time.Duration, composed bool) {
 	r.mu.Lock()
-	if !r.lean {
-		r.Spans = append(r.Spans, TaskSpan{Name: name, Layer: layer, Group: group, Cores: cores, Start: start, End: end, Composed: composed})
-	} else if !composed {
-		r.busy += time.Duration(cores) * (end - start)
-	}
+	r.Spans = append(r.Spans, TaskSpan{Name: name, Layer: layer, Group: group, Cores: cores, Start: start, End: end, Composed: composed})
 	r.mu.Unlock()
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,13 +55,16 @@ const (
 // re-checks the condition before each receive, so a coalesced or stale
 // token is harmless and a wake is never lost.
 //
-// Attempts run on the workers themselves and cannot be abandoned, so
-// without a deadline caller cancellation is observed between attempts and
-// by bodies that honor their TaskCtx.Ctx (a body that does fails the
-// attempt, which aborts the group communicator and releases any peers
-// blocked in collectives); a body that ignores it runs to completion
-// first. When the policy sets a deadline the spawned-attempt fallback
-// (runAttempt) enforces it with a watchdog and abandons hung bodies.
+// Every attempt runs on the workers of its group's ranks, each running its
+// own share of the body (runShare). Without a deadline a share runs in
+// place on its worker, so caller cancellation is observed between
+// attempts and by bodies that honor their TaskCtx.Ctx (a body that does
+// fails the attempt, which aborts the group communicator and releases any
+// peers blocked in collectives); a body that ignores it runs to
+// completion first. When the policy sets a deadline that applies to the
+// pass, every share runs on a goroutine its worker waits for: once the
+// attempt context ends the worker aborts the group communicator and,
+// past the abandon grace, abandons a share that still runs.
 type wfDispatcher struct {
 	w     *World
 	sched *core.Schedule
@@ -75,11 +79,10 @@ type wfDispatcher struct {
 	// ranks[lo:hi] directly, so attempts never allocate a rank slice.
 	ranks []int
 
-	// spawn selects the spawned-attempt fallback: when the policy sets a
-	// deadline that applies to this execution, attempts must be
-	// abandonable, which a rank worker is not — leaders run runAttempt
-	// (fresh goroutines + watchdog) and followers stay out of the way.
-	spawn bool
+	// deadline is set when the policy bounds the attempts of this pass
+	// (TaskTimeout, or LayerTimeout in a layered pass): shares must then
+	// be abandonable, so each runs on a goroutine its worker waits for.
+	deadline bool
 
 	// The current pass: its context, its global communicator and the end
 	// of its layer range.
@@ -130,8 +133,8 @@ type wfWorker struct {
 	// exactly once).
 	lastSeq []uint64
 
-	// Leader-side attempt publication. gsh, fn, src, name and attempt are
-	// written first, then seq is bumped, then curTask is set to the
+	// Leader-side attempt publication. gsh, fn, src, name, attempt and
+	// actx are written first, then seq is bumped, then curTask is set to the
 	// scheduled task id (-1 outside a published attempt) — in that order,
 	// so a follower that observes curTask == id is guaranteed to read this
 	// publication's seq and fields, never a previous task's: sync/atomic
@@ -147,14 +150,15 @@ type wfWorker struct {
 	src     *graph.Task
 	name    string
 	attempt int
-	errs    []error // per-group-rank results of the published attempt
+	actx    context.Context // the attempt context; nil without a deadline
+	errs    []error         // per-group-rank results of the published attempt
 
-	// Reusable per-rank scratch: handles and TaskCtx are rebuilt in place
-	// for every body run, so steady-state dispatch allocates nothing.
-	// Bodies must not retain the *TaskCtx past their return.
-	tc     TaskCtx
-	group  Comm
-	global Comm
+	// scratch is rebuilt in place for every share run on the worker, so
+	// steady-state dispatch allocates nothing; bodies must not retain the
+	// *TaskCtx past their return. share is the heap share of the
+	// deadline path, reused until a straggler keeps it.
+	scratch rankShare
+	share   *rankShare
 
 	wakeups       int64 // tokens consumed while parked
 	chainLaunches int64 // leader tasks started without parking
@@ -183,7 +187,7 @@ func newDispatcher(w *World, sched *core.Schedule, from int, body func(t *graph.
 	d := &wfDispatcher{
 		w: w, sched: sched, prec: prec, cfg: cfg, rep: rep, body: body,
 		ranks:     ranks,
-		spawn:     pol.TaskTimeout > 0 || !cfg.wavefront && pol.LayerTimeout > 0,
+		deadline:  pol.TaskTimeout > 0 || !cfg.wavefront && pol.LayerTimeout > 0,
 		remaining: make([]atomic.Int32, len(prec.Tasks)),
 		state:     make([]atomic.Uint32, len(prec.Tasks)),
 		layerLeft: make([]atomic.Int32, len(sched.Layers)),
@@ -303,6 +307,9 @@ func (d *wfDispatcher) pass(ctx context.Context, to int) (done int, err error, f
 func (wk *wfWorker) run() {
 	d := wk.d
 	defer d.wg.Done()
+	if d.deadline {
+		growStack()
+	}
 	chain := d.prec.Chains[wk.rank]
 	for ; wk.next < len(chain); wk.next++ {
 		td := d.prec.Tasks[chain[wk.next]]
@@ -314,13 +321,24 @@ func (wk *wfWorker) run() {
 				wk.drainChain(chain[wk.next:])
 				return
 			}
-		} else if !d.spawn {
+		} else {
 			wk.follow(td)
 		}
-		// Spawned-attempt mode: non-leader entries run on goroutines
-		// spawned by the leader's runAttempt; this worker just moves on
-		// (ordering is still enforced by the dependence counters).
 	}
+}
+
+// growStack grows a fresh worker's stack while it holds two frames. A
+// deadline-bound attempt arms a runtime timer (context.WithTimeout) a
+// dozen frames deep, past the stack a goroutine starts with, and growing
+// the stack there copies those frames — twice the cost, paid by every
+// leading worker of every pass, so about once per task in a layered
+// pass. Workers that persist across passes (ROADMAP item 1(d)) would
+// pay it once per execution instead.
+//
+//go:noinline
+func growStack() {
+	var pad [1536]byte
+	runtime.KeepAlive(&pad)
 }
 
 // lead waits for the task's dependence counter to drain, then runs it
@@ -346,14 +364,10 @@ func (wk *wfWorker) lead(td *core.TaskDeps) bool {
 	}
 	d.ready.Add(-1)
 
-	var coop *wfWorker
-	if !d.spawn {
-		coop = wk
-	}
 	// curTask is NOT set here: it is published per attempt inside
 	// coopAttempt, strictly after the attempt's fields and seq, so
 	// followers can never observe the task id before its publication.
-	err, exhausted := runScheduledTask(d.ctx, d.w, d.sched, td, d.global, d.body, d.cfg, d.rep, coop)
+	err, exhausted := wk.runScheduledTask(td)
 	if err != nil {
 		d.fail(td, err, exhausted)
 		return false
@@ -376,7 +390,7 @@ func (wk *wfWorker) follow(td *core.TaskDeps) {
 		}
 		if ld.curTask.Load() == int64(td.ID) {
 			// curTask is stored after the seq bump, which is stored after
-			// gsh/fn/src/attempt and this rank's errs-slot reset, so having
+			// the publication fields and this rank's errs-slot reset, so having
 			// observed curTask == id this seq load returns at least the
 			// current publication's value — and not more, because the
 			// leader cannot publish the next attempt until this worker
@@ -385,7 +399,10 @@ func (wk *wfWorker) follow(td *core.TaskDeps) {
 			// fields stay stable until this worker reports back.
 			if sq := ld.seq.Load(); sq != wk.lastSeq[td.Lo] {
 				wk.lastSeq[td.Lo] = sq
-				wk.runFollower(ld, td, r)
+				ld.errs[r] = wk.runShare(ld, td, r)
+				if ld.pending.Add(-1) == 0 {
+					d.wakeWorker(ld.rank) // the last follower to report wakes the leader
+				}
 				continue
 			}
 		}
@@ -394,42 +411,27 @@ func (wk *wfWorker) follow(td *core.TaskDeps) {
 	}
 }
 
-// runFollower executes this rank's body of the leader's published
-// attempt. The last follower to finish wakes the leader.
-func (wk *wfWorker) runFollower(ld *wfWorker, td *core.TaskDeps, r int) {
-	d := wk.d
-	gsh, fn, src, name, attempt := ld.gsh, ld.fn, ld.src, ld.name, ld.attempt
-	wk.group = Comm{shared: gsh, rank: r}
-	wk.global = Comm{lazy: d.global, rank: wk.rank}
-	wk.tc = TaskCtx{
-		Group:      &wk.group,
-		Global:     &wk.global,
-		Task:       src,
-		Layer:      td.Layer,
-		GroupIndex: int(td.Group),
-		Ctx:        d.ctx,
-	}
-	ld.errs[r] = runRankAttempt(&wk.tc, name, fn, attempt, gsh, d.cfg)
-	if ld.pending.Add(-1) == 0 {
-		d.wakeWorker(ld.rank)
-	}
-}
-
-// coopAttempt runs one attempt of one source task cooperatively on the
-// workers of the group's interval: the leader builds a fresh pooled group
-// communicator over ranks[lo:hi], publishes the attempt to its
-// followers, runs its own rank-0 share, waits for the followers and
-// settles — the exact runAttempt semantics minus the per-attempt
-// goroutines and watchdog (see wfDispatcher for the cancellation caveat
-// that buys).
+// coopAttempt runs one attempt of one source task on the workers of the
+// group's interval: the leader builds a fresh pooled group communicator
+// over ranks[lo:hi] (and, under a deadline, the attempt context),
+// publishes the attempt to its followers, runs its own rank-0 share,
+// waits for the followers and settles.
 func (wk *wfWorker) coopAttempt(t *graph.Task, name string, fn TaskFunc, attempt int, td *core.TaskDeps) error {
 	d := wk.d
 	lo, hi := td.Lo, td.Hi
 	size := hi - lo
 	gsh := newCommShared(Group, d.ranks[lo:hi], &d.w.Stats, d.cfg.rec, d.cfg.spin)
+	var actx context.Context
+	var cancel context.CancelFunc
+	if d.deadline {
+		actx = d.ctx
+		if tt := d.cfg.policy.TaskTimeout; tt > 0 {
+			actx, cancel = context.WithTimeout(d.ctx, tt)
+		}
+	}
 
+	wk.gsh, wk.fn, wk.src, wk.name, wk.attempt, wk.actx = gsh, fn, t, name, attempt, actx
 	if size > 1 {
-		wk.gsh, wk.fn, wk.src, wk.name, wk.attempt = gsh, fn, t, name, attempt
 		for i := 1; i < size; i++ {
 			wk.errs[i] = nil
 		}
@@ -449,17 +451,7 @@ func (wk *wfWorker) coopAttempt(t *graph.Task, name string, fn TaskFunc, attempt
 		}
 	}
 
-	wk.group = Comm{shared: gsh, rank: 0}
-	wk.global = Comm{lazy: d.global, rank: lo}
-	wk.tc = TaskCtx{
-		Group:      &wk.group,
-		Global:     &wk.global,
-		Task:       t,
-		Layer:      td.Layer,
-		GroupIndex: int(td.Group),
-		Ctx:        d.ctx,
-	}
-	wk.errs[0] = runRankAttempt(&wk.tc, name, fn, attempt, gsh, d.cfg)
+	wk.errs[0] = wk.runShare(wk, td, 0)
 
 	for size > 1 && wk.pending.Load() != 0 {
 		<-wk.wake
@@ -473,8 +465,80 @@ func (wk *wfWorker) coopAttempt(t *graph.Task, name string, fn TaskFunc, attempt
 		wk.curTask.Store(-1)
 	}
 	err := settleAttempt(name, d.rep, wk.errs[:size])
-	gsh.release() // attempt settled: no rank holds the comm anymore
+	if actx == nil || actx.Err() == nil {
+		// Every share returned: no rank holds the comm anymore. Once the
+		// attempt context ended a share may have been abandoned, still
+		// holding it, so the communicator is left to the collector.
+		gsh.release()
+	}
+	if cancel != nil {
+		cancel()
+	}
 	return err
+}
+
+// rankShare is one rank's share of an attempt: its TaskCtx and the
+// handles it points to.
+type rankShare struct {
+	tc            TaskCtx
+	group, global Comm
+	done          chan error // capacity 1; the deadline path's result slot
+}
+
+// bind rebuilds the share for rank r of the attempt of t on gsh.
+func (s *rankShare) bind(wk *wfWorker, gsh *commShared, r int, t *graph.Task, td *core.TaskDeps, ctx context.Context) *TaskCtx {
+	s.group = Comm{shared: gsh, rank: r}
+	s.global = Comm{lazy: wk.d.global, rank: wk.rank}
+	s.tc = TaskCtx{Group: &s.group, Global: &s.global, Task: t, Layer: td.Layer, GroupIndex: int(td.Group), Ctx: ctx}
+	return &s.tc
+}
+
+// runShare runs this worker's share — group rank r — of the attempt
+// published by ld (the worker itself when it leads). Without a deadline
+// the body runs in place on the worker's scratch; under one, on a
+// goroutine (runShareDeadline).
+func (wk *wfWorker) runShare(ld *wfWorker, td *core.TaskDeps, r int) error {
+	if ld.actx != nil {
+		return wk.runShareDeadline(ld, td, r)
+	}
+	d := wk.d
+	return runRankAttempt(wk.scratch.bind(wk, ld.gsh, r, ld.src, td, d.ctx), ld.name, ld.fn, ld.attempt, ld.gsh, d.cfg)
+}
+
+// runShareDeadline runs the share on a goroutine over the worker's heap
+// share and waits for it. Once the attempt context ends the worker aborts
+// the group communicator, releasing peers blocked in collectives, and
+// waits at most the abandon grace. A share that still runs then is
+// abandoned: it keeps its rankShare, so the straggler writes only to its
+// own done slot, and the worker takes a fresh one for its next share.
+func (wk *wfWorker) runShareDeadline(ld *wfWorker, td *core.TaskDeps, r int) error {
+	s := wk.share
+	if s == nil {
+		s = &rankShare{done: make(chan error, 1)}
+		wk.share = s
+	}
+	tc := s.bind(wk, ld.gsh, r, ld.src, td, ld.actx)
+	gsh, fn, name, attempt, actx, cfg := ld.gsh, ld.fn, ld.name, ld.attempt, ld.actx, wk.d.cfg
+	go func() { s.done <- runRankAttempt(tc, name, fn, attempt, gsh, cfg) }()
+	select {
+	case err := <-s.done:
+		return err
+	case <-actx.Done():
+	}
+	cause := fmt.Errorf("task %q attempt %d: %w", name, attempt, actx.Err())
+	gsh.abort(cause)
+	timer := time.NewTimer(cfg.grace)
+	defer timer.Stop()
+	select {
+	case err := <-s.done:
+		if err == nil {
+			err = cause // the deadline struck first: the attempt failed
+		}
+		return err
+	case <-timer.C:
+		wk.share = nil
+		return fmt.Errorf("task %q attempt %d abandoned after %v grace: %w", name, attempt, cfg.grace, actx.Err())
+	}
 }
 
 // complete marks a task done, advances the completed-layer prefix when

@@ -93,27 +93,45 @@ func TestPropertyWorkersFaultsMatchSequential(t *testing.T) {
 	// the injector is deterministic per (task, attempt, rank), so the
 	// dispatcher and the reference see the same fault sequence per task
 	// and must converge to the same bits with the same retry and panic
-	// totals.
+	// totals. A policy deadline runs every share on its own goroutine
+	// (abandonable), so the property must hold with one as well: a
+	// per-attempt TaskTimeout in both modes, a LayerTimeout in layered
+	// mode, both generous enough never to fire.
 	rng := rand.New(rand.NewSource(17))
 	pol := fault.DefaultPolicy()
 	pol.MaxRetries = 20
 	pol.BaseBackoff = 50 * time.Microsecond
+	pol.MaxBackoff = time.Millisecond // backoff sleeps would dominate the run time
+	pol.TaskTimeout = 0
+	taskTimeout, layerTimeout := pol, pol
+	taskTimeout.TaskTimeout = 30 * time.Second
+	layerTimeout.LayerTimeout = 30 * time.Second
+	policies := []struct {
+		name      string
+		pol       fault.Policy
+		wavefront bool // a wavefront pass ignores LayerTimeout
+	}{{"no deadline", pol, true}, {"task timeout", taskTimeout, true}, {"layer timeout", layerTimeout, false}}
 	for trial := 0; trial < 6; trial++ {
 		g := randomExecDAG(rng)
 		sched := randomExecSchedule(t, g, 8)
 		inj := &fault.Injector{Seed: int64(trial + 1), PError: 0.08, PPanic: 0.04, PDelay: 0.05, Delay: 100 * time.Microsecond}
-		faults := []ExecOption{WithPolicy(pol), WithInjector(inj)}
-		ref, rrep := referenceRecorded(t, sched, faults...)
-		for _, mode := range execModes {
-			got, wrep := runRecorded(t, sched, 8, append(faults, mode.opts...)...)
-			compareBitwise(t, ref, got)
-			checkExecution(t, sched, wrep, mode.layered)
-			if wrep.Layers != rrep.Layers {
-				t.Fatalf("trial %d: layers done = %d (%s) / %d (reference)", trial, wrep.Layers, mode.name, rrep.Layers)
-			}
-			if wrep.Retries != rrep.Retries || wrep.Panics != rrep.Panics {
-				t.Fatalf("trial %d: retries/panics = %d/%d (%s), %d/%d (reference)",
-					trial, wrep.Retries, wrep.Panics, mode.name, rrep.Retries, rrep.Panics)
+		ref, rrep := referenceRecorded(t, sched, WithPolicy(pol), WithInjector(inj))
+		for _, pc := range policies {
+			for _, mode := range execModes {
+				if !mode.layered && !pc.wavefront {
+					continue
+				}
+				got, wrep := runRecorded(t, sched, 8, append([]ExecOption{WithPolicy(pc.pol), WithInjector(inj)}, mode.opts...)...)
+				compareBitwise(t, ref, got)
+				checkExecution(t, sched, wrep, mode.layered)
+				if wrep.Layers != rrep.Layers || wrep.Layers != len(sched.Layers) {
+					t.Fatalf("trial %d, %s, %s: layers done = %d / %d (reference), want %d",
+						trial, mode.name, pc.name, wrep.Layers, rrep.Layers, len(sched.Layers))
+				}
+				if wrep.Retries != rrep.Retries || wrep.Panics != rrep.Panics {
+					t.Fatalf("trial %d, %s, %s: retries/panics = %d/%d, %d/%d (reference)",
+						trial, mode.name, pc.name, wrep.Retries, wrep.Panics, rrep.Retries, rrep.Panics)
+				}
 			}
 		}
 	}
@@ -233,49 +251,12 @@ func TestPropertyWorkersCoreLossCheckpointMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestPropertyWorkersSpawnModeMatchesSequential(t *testing.T) {
-	// A policy with a deadline routes leaders through the spawned-attempt
-	// fallback (attempts must be abandonable): a per-attempt TaskTimeout
-	// in both modes, a LayerTimeout in layered mode. The fallback must
-	// preserve the differential property under faults just like the
-	// cooperative path.
-	rng := rand.New(rand.NewSource(23))
-	pol := fault.DefaultPolicy()
-	pol.MaxRetries = 20
-	pol.BaseBackoff = 50 * time.Microsecond
-	taskTimeout, layerTimeout := pol, pol
-	taskTimeout.TaskTimeout = 30 * time.Second // generous: selects the spawn path, never fires
-	layerTimeout.LayerTimeout = 30 * time.Second
-	for trial := 0; trial < 4; trial++ {
-		g := randomExecDAG(rng)
-		sched := randomExecSchedule(t, g, 8)
-		inj := &fault.Injector{Seed: int64(trial + 41), PError: 0.08, PPanic: 0.04}
-		ref, _ := referenceRecorded(t, sched, WithPolicy(taskTimeout), WithInjector(inj))
-		for _, mode := range []struct {
-			name    string
-			layered bool
-			opts    []ExecOption
-		}{
-			{"wavefront, task timeout", false, []ExecOption{WithPolicy(taskTimeout), WithWavefront()}},
-			{"layered, task timeout", true, []ExecOption{WithPolicy(taskTimeout)}},
-			{"layered, layer timeout", true, []ExecOption{WithPolicy(layerTimeout)}},
-		} {
-			got, wrep := runRecorded(t, sched, 8, append(mode.opts, WithInjector(inj))...)
-			compareBitwise(t, ref, got)
-			checkExecution(t, sched, wrep, mode.layered)
-			if wrep.Layers != len(sched.Layers) {
-				t.Fatalf("trial %d, %s: completed %d of %d layers", trial, mode.name, wrep.Layers, len(sched.Layers))
-			}
-		}
-	}
-}
-
 func TestWorkersTaskTimeoutUnblocksBarrier(t *testing.T) {
-	// The watchdog semantics of the spawn fallback, end to end: one rank
-	// hangs past the per-attempt deadline while its peers wait at a group
-	// barrier. The dispatcher must abort the attempt's communicator
-	// (releasing the peers) and fail with DeadlineExceeded — and the rank
-	// workers themselves must not deadlock.
+	// The per-attempt deadline, end to end: one rank hangs past it while
+	// its peers wait at a group barrier. The dispatcher must abort the
+	// attempt's communicator (releasing the peers) and fail with
+	// DeadlineExceeded — and the rank workers themselves must not
+	// deadlock.
 	sched := gridSchedule(4, 2, 4)
 	w, _ := NewWorld(4)
 	pol := fault.Policy{TaskTimeout: 50 * time.Millisecond}
@@ -457,7 +438,9 @@ func liveGoroutines() int {
 func TestWavefrontPeakGoroutinesConstant(t *testing.T) {
 	// The scaling gate: a pass runs P workers, whatever its width, so the
 	// peak goroutine count must be O(P) — not O(in-flight tasks × group
-	// size) like a dispatcher that spawns per task or per attempt.
+	// size) like a dispatcher that spawns per task or per attempt. Under a
+	// policy deadline (DefaultPolicy's TaskTimeout) every worker waits on
+	// at most one goroutine running its share: 2P.
 	//
 	// runtime.NumGoroutine is cheap but can read up to 32 too high: it is
 	// allglen minus the free-list counts, and the runtime moves dead
@@ -470,32 +453,40 @@ func TestWavefrontPeakGoroutinesConstant(t *testing.T) {
 	// between passes (ROADMAP item 1(d)) would remove the churn itself.
 	const P = 8
 	sched := gridSchedule(P, 200, 1)
-	for _, mode := range execModes {
-		w, _ := NewWorld(P)
-		var peak atomic.Int64
-		baseline := liveGoroutines()
-		bound := int64(baseline + P + 4)
-		body := func(task *graph.Task) TaskFunc {
-			return func(tc *TaskCtx) error {
-				n := int64(runtime.NumGoroutine())
-				if n > bound {
-					n = int64(liveGoroutines())
-				}
-				for {
-					pk := peak.Load()
-					if n <= pk || peak.CompareAndSwap(pk, n) {
-						return nil
+	for _, pc := range []struct {
+		name  string
+		opts  []ExecOption
+		extra int // goroutines allowed above the baseline
+	}{{"no deadline", nil, P + 4}, {"default policy", []ExecOption{WithPolicy(fault.DefaultPolicy())}, 2*P + 4}} {
+		for _, mode := range execModes {
+			w, _ := NewWorld(P)
+			var peak atomic.Int64
+			baseline := liveGoroutines()
+			bound := int64(baseline + pc.extra)
+			body := func(task *graph.Task) TaskFunc {
+				return func(tc *TaskCtx) error {
+					n := int64(runtime.NumGoroutine())
+					if n > bound {
+						n = int64(liveGoroutines())
+					}
+					for {
+						pk := peak.Load()
+						if n <= pk || peak.CompareAndSwap(pk, n) {
+							return nil
+						}
 					}
 				}
 			}
-		}
-		if _, err := ExecuteCtx(context.Background(), w, sched, body, append(mode.opts, WithoutTimeline())...); err != nil {
-			t.Fatal(err)
-		}
-		extra := int(peak.Load()) - baseline
-		t.Logf("%s: peak goroutines: baseline %d, peak %d (+%d) for P=%d", mode.name, baseline, peak.Load(), extra, P)
-		if extra > P+4 {
-			t.Fatalf("%s: peak goroutines %d above baseline %d for P=%d: dispatch is not O(P)", mode.name, extra, baseline, P)
+			opts := append(append([]ExecOption{WithoutTimeline()}, pc.opts...), mode.opts...)
+			if _, err := ExecuteCtx(context.Background(), w, sched, body, opts...); err != nil {
+				t.Fatal(err)
+			}
+			extra := int(peak.Load()) - baseline
+			t.Logf("%s, %s: peak goroutines: baseline %d, peak %d (+%d) for P=%d", mode.name, pc.name, baseline, peak.Load(), extra, P)
+			if extra > pc.extra {
+				t.Fatalf("%s, %s: peak goroutines %d above baseline %d for P=%d, want at most %d: dispatch is not O(P)",
+					mode.name, pc.name, extra, baseline, P, pc.extra)
+			}
 		}
 	}
 }
