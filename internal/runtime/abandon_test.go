@@ -15,9 +15,9 @@ import (
 
 // TestAbandonGraceAbandonsHungBody covers the abandon path end to end: a
 // body hanging in pure computation (ignoring its context and immune to the
-// communicator abort) past the grace is abandoned, the straggler rank
-// blocked in a global collective is released by the layer-end errLayerDone
-// abort, and the surfaced error names the timeout cause.
+// communicator abort) past the grace is abandoned, its peer blocked in a
+// group collective is released by the attempt abort before ExecuteCtx
+// returns, and the surfaced error names the timeout cause.
 func TestAbandonGraceAbandonsHungBody(t *testing.T) {
 	g := graph.New("hang")
 	a := g.AddBasic("a", 1)
@@ -35,27 +35,19 @@ func TestAbandonGraceAbandonsHungBody(t *testing.T) {
 
 	hang := make(chan struct{})
 	t.Cleanup(func() { close(hang) }) // release the leaked goroutine
-	var released atomic.Int32
-	var globalEntered atomic.Bool
+	var entered, released atomic.Int32
 	body := func(task *graph.Task) TaskFunc {
 		return func(tc *TaskCtx) error {
 			if tc.Group.Rank() == 0 {
 				<-hang // pure computation: no ctx check, no collective
 				return nil
 			}
-			// Rank 1 blocks in a global collective rank 0 never joins; the
-			// attempt-level group abort cannot reach it, only the
-			// layer-end abort of the global communicator can. Only the first
-			// attempt may enter: the global communicator is shared by the
-			// whole layer across retries, so a retry entering the barrier
-			// would alias the rank slot its abandoned predecessor still
-			// occupies (bodies holding a global collective past the abandon
-			// grace must not re-enter it on retry).
-			if !globalEntered.CompareAndSwap(false, true) {
-				return errors.New("rank 1 retry failing fast")
-			}
+			// Rank 1 blocks in a group barrier rank 0 never joins; only the
+			// attempt abort releases it. Every attempt has a fresh group
+			// communicator, so a retry may enter the barrier again.
+			entered.Add(1)
 			defer released.Add(1)
-			tc.Global.Barrier()
+			tc.Group.Barrier()
 			return nil
 		}
 	}
@@ -65,6 +57,12 @@ func TestAbandonGraceAbandonsHungBody(t *testing.T) {
 	start := time.Now()
 	rep, err := ExecuteCtx(context.Background(), w, sched, body,
 		WithPolicy(pol), WithAbandonGrace(30*time.Millisecond))
+	// The attempt abort released rank 1 from every barrier it entered
+	// (its AbortError panic runs the body's defer) before the attempt
+	// settled, so before ExecuteCtx returned.
+	if n, m := entered.Load(), released.Load(); n == 0 || m != n {
+		t.Fatalf("rank 1 entered the barrier %d times and left it %d times before ExecuteCtx returned", n, m)
+	}
 	if err == nil {
 		t.Fatalf("hung body reported success: %s", rep)
 	}
@@ -79,16 +77,6 @@ func TestAbandonGraceAbandonsHungBody(t *testing.T) {
 	}
 	if got := rep.Task("a").Failures; got == 0 {
 		t.Fatalf("abandoned attempt not counted as failure: %s", rep)
-	}
-
-	// The layer-end abort must have released the straggler blocked in the
-	// global barrier (its AbortError panic runs the body's defer).
-	deadline := time.Now().Add(2 * time.Second)
-	for released.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if released.Load() == 0 {
-		t.Fatal("straggler still blocked in the global collective after the layer ended")
 	}
 }
 

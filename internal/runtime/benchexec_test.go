@@ -118,27 +118,6 @@ func BenchmarkExecAllgatherInto(b *testing.B) {
 	}
 }
 
-func BenchmarkExecReduceInto(b *testing.B) {
-	const n = 256
-	for _, p := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			w, err := NewWorld(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			w.Run(func(c *Comm) {
-				contrib := make([]float64, n)
-				var dst []float64
-				for i := 0; i < b.N; i++ {
-					dst = c.ReduceInto(ReduceSum, contrib, dst)
-				}
-			})
-		})
-	}
-}
-
 func BenchmarkExecReduceSum(b *testing.B) {
 	for _, p := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {

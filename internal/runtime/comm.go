@@ -10,7 +10,7 @@
 // an atomics-based dissemination barrier (see barrier.go), data moves
 // through per-member, cache-line-padded, double-buffered slots so every
 // collective costs exactly one barrier round, and the *Into variants
-// (BcastInto, AllgatherInto, ReduceInto) write into caller-owned buffers
+// (BcastInto, AllgatherInto, AllgatherAsInto) write into caller-owned buffers
 // so steady-state inner loops allocate nothing. The value-returning APIs
 // stage through a sync.Pool-backed scratch pool.
 //
@@ -319,12 +319,9 @@ func (s *commShared) abort(err error) {
 }
 
 // Comm is one member's handle of a communicator. Handles are per-goroutine
-// and must not be shared between goroutines. A handle is backed either by
-// shared state directly or by a lazyGlobal that builds the state on the
-// member's first operation (the executor's per-layer global communicator).
+// and must not be shared between goroutines.
 type Comm struct {
 	shared *commShared
-	lazy   *lazyGlobal
 	rank   int
 	// ops counts this handle's collective calls by operation, feeding the
 	// per-rank counter tracks of a tracing run. Handle-local (the handle is
@@ -343,33 +340,23 @@ var opCounterName = func() (t [numCommKinds][numOps]string) {
 	return
 }()
 
-// sh resolves the handle's shared state, creating it on first use when the
-// handle is lazily backed. Handles are per-goroutine, so caching the
-// resolved state on the handle needs no synchronisation.
-func (c *Comm) sh() *commShared {
-	if c.shared == nil {
-		c.shared = c.lazy.get()
-	}
-	return c.shared
-}
-
 // Rank returns the caller's rank within the communicator.
 func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of members.
-func (c *Comm) Size() int { return len(c.sh().ranks) }
+func (c *Comm) Size() int { return len(c.shared.ranks) }
 
 // WorldRank returns the caller's rank within the world.
-func (c *Comm) WorldRank() int { return c.sh().ranks[c.rank] }
+func (c *Comm) WorldRank() int { return c.shared.ranks[c.rank] }
 
 // Kind returns the communicator category.
-func (c *Comm) Kind() CommKind { return c.sh().kind }
+func (c *Comm) Kind() CommKind { return c.shared.kind }
 
 // count records a collective once for the Stats (rank 0 reports) and,
 // when a trace recorder is attached, samples the caller's per-rank
 // cumulative operation counter.
 func (c *Comm) count(op Op) {
-	sh := c.sh()
+	sh := c.shared
 	if c.rank == 0 && sh.stats != nil {
 		sh.stats.add(sh.kind, op)
 	}
@@ -384,7 +371,7 @@ func (c *Comm) count(op Op) {
 // to use for it. Members call collectives in lockstep (SPMD), so every
 // member computes the same sequence number for the same collective.
 func (c *Comm) advance() (ms *memberState, parity int) {
-	ms = &c.sh().mems[c.rank]
+	ms = &c.shared.mems[c.rank]
 	ms.seq++
 	return ms, int(ms.seq & 1)
 }
@@ -396,7 +383,7 @@ func (c *Comm) advance() (ms *memberState, parity int) {
 // panicked or timed-out task cannot deadlock its peers at a barrier; task
 // bodies may also call it to broadcast an unrecoverable local failure.
 func (c *Comm) Abort(cause error) {
-	c.sh().abort(cause)
+	c.shared.abort(cause)
 }
 
 // Barrier synchronises all members. Under a trace recorder the time a
@@ -405,7 +392,7 @@ func (c *Comm) Abort(cause error) {
 // paper's imbalance analysis.
 func (c *Comm) Barrier() {
 	c.count(OpBarrier)
-	sh := c.sh()
+	sh := c.shared
 	if len(sh.ranks) == 1 {
 		// A singleton waits for nobody: no wait span (the per-rank
 		// barrier counter from count() already marks the call).
@@ -425,7 +412,7 @@ func (c *Comm) Barrier() {
 // its own copy (the root returns the original slice).
 func (c *Comm) Bcast(root int, data []float64) []float64 {
 	c.count(OpBcast)
-	sh := c.sh()
+	sh := c.shared
 	if len(sh.ranks) == 1 {
 		sh.bar.check()
 		return data
@@ -451,7 +438,7 @@ func (c *Comm) Bcast(root int, data []float64) []float64 {
 // barrier.
 func (c *Comm) BcastInto(root int, buf []float64) {
 	c.count(OpBcast)
-	sh := c.sh()
+	sh := c.shared
 	if len(sh.ranks) == 1 {
 		sh.bar.check()
 		return
@@ -478,13 +465,6 @@ func (c *Comm) Allgather(contrib []float64) []float64 {
 	return c.AllgatherAsInto(contrib, nil, OpAllgather)
 }
 
-// AllgatherAs is Allgather recorded under a different operation category;
-// it implements the compiler-inserted data re-distributions (OpRedist),
-// which the paper accounts for separately from the collective operations.
-func (c *Comm) AllgatherAs(contrib []float64, op Op) []float64 {
-	return c.AllgatherAsInto(contrib, nil, op)
-}
-
 // AllgatherInto is Allgather writing into dst, which is grown only if its
 // capacity is insufficient; it returns the (possibly re-allocated) result
 // slice. dst may alias contrib: contributions are staged before the
@@ -495,10 +475,12 @@ func (c *Comm) AllgatherInto(contrib, dst []float64) []float64 {
 }
 
 // AllgatherAsInto is AllgatherInto recorded under the given operation
-// category.
+// category; it implements the compiler-inserted data re-distributions
+// (OpRedist), which the paper accounts for separately from the collective
+// operations.
 func (c *Comm) AllgatherAsInto(contrib, dst []float64, op Op) []float64 {
 	c.count(op)
-	sh := c.sh()
+	sh := c.shared
 	if len(sh.ranks) == 1 {
 		sh.bar.check()
 		dst = ensureFloats(dst, len(contrib))
@@ -527,7 +509,7 @@ func (c *Comm) AllgatherAsInto(contrib, dst []float64, op Op) []float64 {
 // Table 1's data collectives.
 func (c *Comm) ExchangeAny(v any) []any {
 	c.count(OpBarrier)
-	sh := c.sh()
+	sh := c.shared
 	if len(sh.ranks) == 1 {
 		sh.bar.check()
 		return []any{v}
@@ -546,7 +528,7 @@ func (c *Comm) ExchangeAny(v any) []any {
 // AllreduceMax returns the maximum of the members' values.
 func (c *Comm) AllreduceMax(v float64) float64 {
 	c.count(OpReduce)
-	sh := c.sh()
+	sh := c.shared
 	if len(sh.ranks) == 1 {
 		sh.bar.check()
 		return v
@@ -567,7 +549,7 @@ func (c *Comm) AllreduceMax(v float64) float64 {
 // AllreduceSum returns the sum of the members' values.
 func (c *Comm) AllreduceSum(v float64) float64 {
 	c.count(OpReduce)
-	sh := c.sh()
+	sh := c.shared
 	if len(sh.ranks) == 1 {
 		sh.bar.check()
 		return v
@@ -581,58 +563,6 @@ func (c *Comm) AllreduceSum(v float64) float64 {
 		sum += slots[i].v
 	}
 	return sum
-}
-
-// ReduceOp selects the elementwise combination of ReduceInto.
-type ReduceOp int
-
-const (
-	// ReduceSum adds contributions elementwise.
-	ReduceSum ReduceOp = iota
-	// ReduceMax takes the elementwise maximum.
-	ReduceMax
-)
-
-// ReduceInto all-reduces the members' equal-length vectors elementwise
-// into dst (grown only if its capacity is insufficient) and returns the
-// result slice; every member receives the full result. Contributions are
-// folded in rank order, so the result is bitwise deterministic. dst may
-// alias contrib.
-func (c *Comm) ReduceInto(op ReduceOp, contrib, dst []float64) []float64 {
-	c.count(OpReduce)
-	sh := c.sh()
-	if len(sh.ranks) == 1 {
-		sh.bar.check()
-		dst = ensureFloats(dst, len(contrib))
-		copy(dst, contrib)
-		return dst
-	}
-	ms, p := c.advance()
-	slots := sh.fslots[p]
-	slots[c.rank].stage(contrib)
-	sh.bar.wait(ms, c.rank)
-	n := len(slots[0].cur)
-	dst = ensureFloats(dst, n)
-	copy(dst, slots[0].cur)
-	for r := 1; r < len(slots); r++ {
-		s := slots[r].cur
-		if len(s) != n {
-			panic(fmt.Sprintf("runtime: ReduceInto length mismatch: rank 0 staged %d values, rank %d staged %d", n, r, len(s)))
-		}
-		switch op {
-		case ReduceSum:
-			for i, x := range s {
-				dst[i] += x
-			}
-		case ReduceMax:
-			for i, x := range s {
-				if x > dst[i] {
-					dst[i] = x
-				}
-			}
-		}
-	}
-	return dst
 }
 
 // ensureFloats returns dst resized to length n, reallocating only when the
@@ -653,7 +583,7 @@ func ensureFloats(dst []float64, n int) []float64 {
 // state and the others retrieve it from the parent's registry, which is
 // pruned as soon as the last member has retrieved its child.
 func (c *Comm) Split(color, key int, kind CommKind) *Comm {
-	sh := c.sh()
+	sh := c.shared
 	if len(sh.ranks) == 1 {
 		sh.bar.check()
 		child := newCommShared(kind, []int{sh.ranks[0]}, sh.stats, sh.rec, sh.bar.spin)

@@ -134,37 +134,10 @@ func (c *refComm) allreduceMax(v float64) float64 {
 	return max
 }
 
-// reduceVec is the reference semantics of ReduceInto: fold the equal-length
-// contributions elementwise in rank order.
-func (c *refComm) reduceVec(op ReduceOp, contrib []float64) []float64 {
-	if len(c.sh.slots) == 1 {
-		out := make([]float64, len(contrib))
-		copy(out, contrib)
-		return out
-	}
-	c.sh.slots[c.rank] = contrib
-	c.sh.bar.wait()
-	first := c.sh.slots[0].([]float64)
-	out := make([]float64, len(first))
-	copy(out, first)
-	for r := 1; r < len(c.sh.slots); r++ {
-		s := c.sh.slots[r].([]float64)
-		for i, x := range s {
-			if op == ReduceSum {
-				out[i] += x
-			} else if x > out[i] {
-				out[i] = x
-			}
-		}
-	}
-	c.sh.bar.wait()
-	return out
-}
-
 // collOp is one step of a random SPMD collective script: the same script
 // runs on both engines and the per-rank outputs are compared bitwise.
 type collOp struct {
-	kind int // 0 bcast, 1 allgather, 2 sum, 3 max, 4 reduceSum, 5 reduceMax
+	kind int // 0 bcast, 1 allgather, 2 sum, 3 max
 	root int
 	data [][]float64 // per-rank contribution (scalar ops use data[r][0])
 }
@@ -173,7 +146,7 @@ type collOp struct {
 func randScript(rng *rand.Rand, p, nops int) []collOp {
 	ops := make([]collOp, nops)
 	for o := range ops {
-		op := collOp{kind: rng.Intn(6), root: rng.Intn(p)}
+		op := collOp{kind: rng.Intn(4), root: rng.Intn(p)}
 		vecLen := 1 + rng.Intn(17)
 		op.data = make([][]float64, p)
 		for r := range op.data {
@@ -218,10 +191,6 @@ func runRef(p int, script []collOp) [][][]float64 {
 					out = []float64{c.allreduceSum(in[0])}
 				case 3:
 					out = []float64{c.allreduceMax(in[0])}
-				case 4:
-					out = c.reduceVec(ReduceSum, in)
-				case 5:
-					out = c.reduceVec(ReduceMax, in)
 				}
 				results[r] = append(results[r], append([]float64(nil), out...))
 			}
@@ -271,12 +240,6 @@ func runNew(t *testing.T, p int, script []collOp) [][][]float64 {
 				out = []float64{c.AllreduceSum(in[0])}
 			case 3:
 				out = []float64{c.AllreduceMax(in[0])}
-			case 4:
-				intoBufs[r] = c.ReduceInto(ReduceSum, in, intoBufs[r])
-				out = intoBufs[r]
-			case 5:
-				intoBufs[r] = c.ReduceInto(ReduceMax, in, intoBufs[r])
-				out = intoBufs[r]
 			}
 			if into != nil && !bitsEqual(out, into) {
 				t.Errorf("op %d kind %d rank %d: *Into variant diverged from value API", oi, op.kind, r)
@@ -372,10 +335,6 @@ func TestPropertyCollectivesWithAbort(t *testing.T) {
 						out = []float64{c.AllreduceSum(in[0])}
 					case 3:
 						out = []float64{c.AllreduceMax(in[0])}
-					case 4:
-						out = c.ReduceInto(ReduceSum, in, nil)
-					case 5:
-						out = c.ReduceInto(ReduceMax, in, nil)
 					}
 					results[r] = append(results[r], out)
 				}

@@ -139,10 +139,6 @@ func WithoutTimeline() ExecOption {
 
 const defaultAbandonGrace = time.Second
 
-// errLayerDone is the abort cause used to release stragglers of abandoned
-// attempts when their layer finishes.
-var errLayerDone = errors.New("runtime: layer execution finished")
-
 // ExecuteCtx runs a layered schedule on the world; body maps each original
 // task to its SPMD implementation (a task without one is an error). It:
 //
@@ -168,8 +164,8 @@ var errLayerDone = errors.New("runtime: layer execution finished")
 // Task bodies must be idempotent: a body can run more than once (retry,
 // or re-execution of a partially completed layer after a replan) and must
 // produce the same outputs given the same completed predecessor layers.
-// Bodies that communicate through TaskCtx.Global are only safe when no
-// retries occur in their layer (group collectives are always safe).
+// A body communicates only through its group communicator, which is fresh
+// per attempt, so retries are always safe.
 //
 // The returned Report is valid (and populated) even when the execution
 // fails. The schedule may use at most w.P cores; replanned schedules use
@@ -193,9 +189,10 @@ func ExecuteCtx(ctx context.Context, w *World, sched *core.Schedule, body func(t
 // tasks, under the names "<composed>[<trip>]/<inner>" (nesting composes
 // the names); a composed task's own span stays in the Report but its core
 // time is counted through its inner spans, and Report.Layers counts
-// top-level layers only. Inner bodies see a poisoned TaskCtx.Global (see
-// ErrGlobalInWavefront). An inner failure the policy cannot absorb fails
-// the composed task's attempt, which the policy may retry as a whole.
+// top-level layers only. Inner bodies see the same TaskCtx as top-level
+// ones, over their own group. An inner failure the policy cannot absorb
+// fails the composed task's attempt, which the policy may retry as a
+// whole.
 //
 // The iterations function returns whether a composed task runs another
 // trip, given the number of trips done: it is called once per trip and
@@ -432,11 +429,6 @@ func (wk *wfWorker) failedAttempt(name string, attempt, retry int, aerr error) (
 	if ctx.Err() != nil {
 		// Layer timeout or caller cancellation: not a core failure, do
 		// not escalate to degrade-and-replan.
-		return fmt.Errorf("runtime: task %q: %w", name, aerr), false
-	}
-	if errors.Is(aerr, ErrGlobalInWavefront) {
-		// A body touched a poisoned TaskCtx.Global: a programming error,
-		// not a fault — fail fast without retries or core-loss escalation.
 		return fmt.Errorf("runtime: task %q: %w", name, aerr), false
 	}
 	if !cfg.policy.Retryable(aerr) || retry > cfg.policy.MaxRetries {

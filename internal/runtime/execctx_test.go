@@ -21,6 +21,17 @@ import (
 // symbolic cores of a CHiC subset.
 func diamondSchedule(t *testing.T, P int) (*graph.Graph, *core.Schedule) {
 	t.Helper()
+	g := diamondGraph()
+	model := &cost.Model{Machine: arch.CHiC().Subset(2)}
+	sched, err := (&core.Scheduler{Model: model}).Schedule(g, P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, sched
+}
+
+// diamondGraph is the diamond test graph: a feeds b and c, which feed d.
+func diamondGraph() *graph.Graph {
 	g := graph.New("diamond")
 	a := g.AddTask(&graph.Task{Name: "a", Kind: graph.KindBasic, Work: 1e6})
 	b := g.AddTask(&graph.Task{Name: "b", Kind: graph.KindBasic, Work: 1e6, CommBytes: 1 << 22, CommCount: 16})
@@ -30,12 +41,7 @@ func diamondSchedule(t *testing.T, P int) (*graph.Graph, *core.Schedule) {
 	g.MustEdge(a, c, 8)
 	g.MustEdge(b, d, 8)
 	g.MustEdge(c, d, 8)
-	model := &cost.Model{Machine: arch.CHiC().Subset(2)}
-	sched, err := (&core.Scheduler{Model: model}).Schedule(g, P)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g, sched
+	return g
 }
 
 // diamondReplanner reschedules the diamond graph on the surviving cores.

@@ -15,18 +15,14 @@ import (
 var ErrNoSubSchedule = errors.New("runtime: no sub-schedule for composed task")
 
 // TaskCtx is the execution context handed to the SPMD body of an M-task:
-// the group communicator of the cores executing the task, the global
-// communicator (for orthogonal exchanges and data re-distribution between
-// cooperating M-tasks), and the task being executed.
+// the group communicator of the cores executing the task and the task
+// being executed. M-tasks cooperate only through their input-output
+// relations, so a body talks to its own group and to nobody else; every
+// pass — layered, wavefront, or inside a composed task — hands bodies the
+// same context.
 type TaskCtx struct {
 	// Group is the communicator of the cores executing this task.
 	Group *Comm
-	// Global is the caller's handle of the world communicator. Only a
-	// layered pass over the top-level schedule has an epoch spanning the
-	// world: in wavefront mode and inside composed tasks it is born
-	// poisoned, and touching it fails the task with an error matching
-	// ErrGlobalInWavefront.
-	Global *Comm
 	// Task is the original (uncontracted) M-task.
 	Task *graph.Task
 	// Layer and GroupIndex locate the task in the schedule of its level
@@ -89,11 +85,10 @@ func composedBodies(hs *core.HierarchicalSchedule, body func(t *graph.Task) Task
 // level uses, with the parent's World, policy, injector, recorder and pass
 // width, and no resizer or replanner; the group's world ranks label the
 // child's ranks. Inner tasks are named <composed>[<trip>]/<inner> in the
-// report, the recorder and the injector's keys, and their TaskCtx.Global
-// is poisoned. A failure the inner policy could not absorb fails this
-// attempt of the composed task, and the parent's policy decides what
-// happens next. iterations is consulted once per trip, here on the
-// group's rank 0 (nil runs a single trip).
+// report, the recorder and the injector's keys. A failure the inner
+// policy could not absorb fails this attempt of the composed task, and
+// the parent's policy decides what happens next. iterations is consulted
+// once per trip, here on the group's rank 0 (nil runs a single trip).
 func runComposed(tc *TaskCtx, t *graph.Task, sub *core.HierarchicalSchedule, body func(t *graph.Task) TaskFunc,
 	iterations func(t *graph.Task, done int) bool, w *World, cfg *execConfig, rep *Report) error {
 
@@ -103,7 +98,7 @@ func runComposed(tc *TaskCtx, t *graph.Task, sub *core.HierarchicalSchedule, bod
 	for done := 0; iterations == nil && done == 0 || iterations != nil && iterations(t, done); done++ {
 		child := *cfg
 		child.resize = nil
-		child.ranks = tc.Group.sh().ranks
+		child.ranks = tc.Group.shared.ranks
 		child.prefix = cfg.prefix + t.Name + "[" + strconv.Itoa(done) + "]/"
 		bodies := composedBodies(sub, body, iterations, w, &child, rep)
 		if err := runLayered(tc.Ctx, w, sub.Top, bodies, &child, rep, noReplan); err != nil {

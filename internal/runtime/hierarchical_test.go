@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -363,32 +362,6 @@ func TestHierarchicalIterationsOncePerTrip(t *testing.T) {
 			if got := calls.Load(); got != int64(4*attempts) {
 				t.Fatalf("%s: iterations called %d times over %d attempt(s), want 4 per attempt", mode.name, got, attempts)
 			}
-		}
-	}
-}
-
-func TestHierarchicalInnerGlobalFailsFast(t *testing.T) {
-	// No epoch spans the world inside a composed task, so the inner
-	// TaskCtx.Global is born poisoned: touching it fails at once with an
-	// error matching ErrGlobalInWavefront, in both modes, retrying neither
-	// the inner task nor the composed one.
-	hs := iterSchedule(t)
-	pol := fault.DefaultPolicy()
-	pol.MaxRetries = 3
-	pol.BaseBackoff = 50 * time.Microsecond
-	for _, mode := range execModes {
-		w, _ := NewWorld(4)
-		rep, err := ExecuteHierarchicalCtx(context.Background(), w, hs, func(task *graph.Task) TaskFunc {
-			return func(tc *TaskCtx) error {
-				tc.Global.Barrier()
-				return nil
-			}
-		}, trips(3), append([]ExecOption{WithPolicy(pol)}, mode.opts...)...)
-		if !errors.Is(err, ErrGlobalInWavefront) {
-			t.Fatalf("%s: error does not match ErrGlobalInWavefront: %v", mode.name, err)
-		}
-		if rep.Retries != 0 || rep.Task("iter").Attempts != 1 || rep.Task("iter[0]/step").Attempts != 1 {
-			t.Fatalf("%s: an inner Global misuse was retried\n%s", mode.name, rep)
 		}
 	}
 }

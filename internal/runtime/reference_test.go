@@ -18,9 +18,8 @@ import (
 // itself with the dispatcher — retries, panic isolation and attempt
 // numbering are the injector's contract, and an attempt runs on the
 // workers of its group's ranks — but none of the dispatch: no counters,
-// no chains, no concurrently running tasks. One task at a time leaves no
-// epoch for a global collective, so TaskCtx.Global is poisoned as in
-// wavefront mode.
+// no chains, no concurrently running tasks. Bodies see the same TaskCtx
+// as under the dispatcher.
 func runSequential(t *testing.T, sched *core.Schedule, from, to int, body func(t *graph.Task) TaskFunc,
 	opts ...ExecOption) *Report {
 
@@ -46,8 +45,6 @@ func sequential(sched *core.Schedule, from, to int, body func(t *graph.Task) Tas
 		return err
 	}
 	d.ctx, d.to = context.Background(), to
-	d.global = newLazyGlobal(Global, d.ranks, nil, nil, cfg.spin)
-	d.global.abort(ErrGlobalInWavefront)
 	defer func() {
 		rep.mu.Lock()
 		for r := range d.workers {

@@ -1,7 +1,5 @@
 package runtime
 
-import "errors"
-
 // WithWavefront switches ExecuteCtx / ExecuteHierarchicalCtx from
 // layer-synchronous execution to dependence-driven (wavefront) execution.
 //
@@ -19,16 +17,12 @@ import "errors"
 // run on the same group intervals with the same group collectives; only
 // the launch times change.
 //
-// Per-task fault handling is the same — retries with backoff, panic
-// isolation, per-attempt timeouts and abort poisoning. Two differences
-// follow from the missing layer scope:
-//
-//   - TaskCtx.Global is rejected: without a global layer join there is no
-//     epoch at which all P cores are in the same layer, so any global
-//     collective would deadlock or mix layers. Bodies touching Global fail
-//     with an error matching ErrGlobalInWavefront (no retries).
-//   - fault.Policy.LayerTimeout is ignored: there is no per-layer scope to
-//     attach the deadline to. TaskTimeout still applies per attempt.
+// Bodies see the same TaskCtx in both modes, and per-task fault handling
+// is the same — retries with backoff, panic isolation, per-attempt
+// timeouts and abort poisoning. One difference follows from the missing
+// layer scope: fault.Policy.LayerTimeout is ignored, as there is no
+// per-layer scope to attach the deadline to. TaskTimeout still applies
+// per attempt.
 //
 // Degrade-and-replan keeps its checkpoint semantics: on an exhausted
 // failure the dispatcher stops launching, drains the in-flight frontier,
@@ -40,9 +34,3 @@ import "errors"
 func WithWavefront() ExecOption {
 	return func(c *execConfig) { c.wavefront = true }
 }
-
-// ErrGlobalInWavefront is matched (via errors.Is) by the failure of any
-// task body that touches TaskCtx.Global where no layer-synchronous epoch
-// spans the world: in wavefront mode, and inside a composed task in
-// either mode. Such a failure is not retried.
-var ErrGlobalInWavefront = errors.New("runtime: TaskCtx.Global is not available here (no layer-synchronous epoch spans the world: wavefront mode, or inside a composed task); use group collectives")

@@ -2,10 +2,10 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -217,32 +217,71 @@ func TestWavefrontCrossLayerOverlap(t *testing.T) {
 	}
 }
 
-func TestWavefrontRejectsGlobal(t *testing.T) {
-	// Without a layer-synchronous epoch a global collective would deadlock
-	// or mix layers, so touching TaskCtx.Global must fail fast with the
-	// typed error — no retries, no degrade-and-replan escalation.
-	_, sched := diamondSchedule(t, 8)
-	w, _ := NewWorld(8)
-	pol := fault.DefaultPolicy()
-	pol.MaxRetries = 3
-	pol.BaseBackoff = 50 * time.Microsecond
-	rep, err := ExecuteCtx(context.Background(), w, sched, func(task *graph.Task) TaskFunc {
-		return func(tc *TaskCtx) error {
-			if task.Name == "b" {
-				tc.Global.Barrier()
+func TestBodyContextSameInEveryPass(t *testing.T) {
+	// A body sees one context in every pass — layered, wavefront, or the
+	// inner pass of a composed task in either mode: its group
+	// communicator, its place in the schedule of its level and a live
+	// attempt context. The two top-level legs run the composed task's
+	// sub-schedule, so every leg runs the same schedule.
+	hs := scheduleHierarchical(t, loopOf("loop", diamondGraph()), 8)
+	if q := coresOf(t, hs.Top, "loop"); q != 8 {
+		t.Fatalf("loop runs on %d cores, want 8", q)
+	}
+	if len(hs.Sub) != 1 {
+		t.Fatalf("%d sub-schedules, want 1", len(hs.Sub))
+	}
+	var sub *core.Schedule
+	for _, s := range hs.Sub {
+		sub = s.Top
+	}
+	type view struct {
+		size, worldRank, layer, group int
+		kind                          CommKind
+		live                          bool
+	}
+	run := func(name string, exec func(body func(*graph.Task) TaskFunc) (*Report, error)) map[string]view {
+		var mu sync.Mutex
+		views := make(map[string]view)
+		rep, err := exec(func(task *graph.Task) TaskFunc {
+			return func(tc *TaskCtx) error {
+				tc.Group.Barrier()
+				v := view{tc.Group.Size(), tc.Group.WorldRank(), tc.Layer, tc.GroupIndex, tc.Group.Kind(), tc.Ctx.Err() == nil}
+				mu.Lock()
+				views[fmt.Sprintf("%s/%d", tc.Task.Name, tc.Group.Rank())] = v
+				mu.Unlock()
+				return nil
 			}
-			tc.Group.Barrier()
-			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, rep)
 		}
-	}, WithPolicy(pol), WithWavefront())
-	if err == nil {
-		t.Fatal("global collective accepted in wavefront mode")
+		return views
 	}
-	if !errors.Is(err, ErrGlobalInWavefront) {
-		t.Fatalf("error does not match ErrGlobalInWavefront: %v", err)
-	}
-	if rep.Retries != 0 {
-		t.Fatalf("a Global misuse was retried %d times: %s", rep.Retries, rep)
+	var want map[string]view
+	for _, mode := range execModes {
+		for _, leg := range []struct {
+			name string
+			exec func(body func(*graph.Task) TaskFunc) (*Report, error)
+		}{
+			{mode.name, func(body func(*graph.Task) TaskFunc) (*Report, error) {
+				w, _ := NewWorld(8)
+				return ExecuteCtx(context.Background(), w, sub, body, mode.opts...)
+			}},
+			{mode.name + " composed", func(body func(*graph.Task) TaskFunc) (*Report, error) {
+				w, _ := NewWorld(8)
+				return ExecuteHierarchicalCtx(context.Background(), w, hs, body, nil, mode.opts...)
+			}},
+		} {
+			got := run(leg.name, leg.exec)
+			if want == nil {
+				want = got
+				if len(want) == 0 {
+					t.Fatalf("%s: no body ran", leg.name)
+				}
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: bodies saw\n%v\nwant\n%v", leg.name, got, want)
+			}
+		}
 	}
 }
 

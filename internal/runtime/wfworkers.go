@@ -84,12 +84,10 @@ type wfDispatcher struct {
 	// be abandonable, so each runs on a goroutine its worker waits for.
 	deadline bool
 
-	// The current pass: its context, its global communicator and the end
-	// of its layer range.
-	ctx    context.Context
-	global *lazyGlobal
-	to     int
-	wg     sync.WaitGroup
+	// The current pass: its context and the end of its layer range.
+	ctx context.Context
+	to  int
+	wg  sync.WaitGroup
 
 	remaining []atomic.Int32  // per task: outstanding dependences
 	state     []atomic.Uint32 // per task: wfPending / wfDone / wfSkipped
@@ -241,20 +239,9 @@ func newDispatcher(w *World, sched *core.Schedule, from int, body func(t *graph.
 // in-flight frontier (completions during the drain still advance the
 // checkpoint). A layered pass lets every group run to its own end, so its
 // fault accounting does not depend on timing, and it is bounded by the
-// policy's LayerTimeout. Only a layered pass of the top level gets a
-// global communicator, fresh per pass and aborted when the pass ends so
-// stragglers of abandoned attempts blocked in a global collective are
-// released; a wavefront pass or a pass inside a composed task has no
-// epoch spanning the world, so its global communicator is born poisoned
-// and the first global collective fails fast with ErrGlobalInWavefront.
+// policy's LayerTimeout. Bodies see the same TaskCtx in every pass: a
+// layered or wavefront pass, at the top level or inside a composed task.
 func (d *wfDispatcher) pass(ctx context.Context, to int) (done int, err error, failedCores int) {
-	if d.cfg.wavefront || d.cfg.prefix != "" {
-		d.global = newLazyGlobal(Global, d.ranks, nil, nil, 0)
-		d.global.abort(ErrGlobalInWavefront)
-	} else {
-		d.global = newLazyGlobal(Global, d.ranks, &d.w.Stats, d.cfg.rec, d.cfg.spin)
-		defer d.global.abort(errLayerDone)
-	}
 	if lt := d.cfg.policy.LayerTimeout; lt > 0 && !d.cfg.wavefront {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, lt)
@@ -478,18 +465,17 @@ func (wk *wfWorker) coopAttempt(t *graph.Task, name string, fn TaskFunc, attempt
 }
 
 // rankShare is one rank's share of an attempt: its TaskCtx and the
-// handles it points to.
+// group handle it points to.
 type rankShare struct {
-	tc            TaskCtx
-	group, global Comm
-	done          chan error // capacity 1; the deadline path's result slot
+	tc    TaskCtx
+	group Comm
+	done  chan error // capacity 1; the deadline path's result slot
 }
 
 // bind rebuilds the share for rank r of the attempt of t on gsh.
-func (s *rankShare) bind(wk *wfWorker, gsh *commShared, r int, t *graph.Task, td *core.TaskDeps, ctx context.Context) *TaskCtx {
+func (s *rankShare) bind(gsh *commShared, r int, t *graph.Task, td *core.TaskDeps, ctx context.Context) *TaskCtx {
 	s.group = Comm{shared: gsh, rank: r}
-	s.global = Comm{lazy: wk.d.global, rank: wk.rank}
-	s.tc = TaskCtx{Group: &s.group, Global: &s.global, Task: t, Layer: td.Layer, GroupIndex: int(td.Group), Ctx: ctx}
+	s.tc = TaskCtx{Group: &s.group, Task: t, Layer: td.Layer, GroupIndex: int(td.Group), Ctx: ctx}
 	return &s.tc
 }
 
@@ -502,7 +488,7 @@ func (wk *wfWorker) runShare(ld *wfWorker, td *core.TaskDeps, r int) error {
 		return wk.runShareDeadline(ld, td, r)
 	}
 	d := wk.d
-	return runRankAttempt(wk.scratch.bind(wk, ld.gsh, r, ld.src, td, d.ctx), ld.name, ld.fn, ld.attempt, ld.gsh, d.cfg)
+	return runRankAttempt(wk.scratch.bind(ld.gsh, r, ld.src, td, d.ctx), ld.name, ld.fn, ld.attempt, ld.gsh, d.cfg)
 }
 
 // runShareDeadline runs the share on a goroutine over the worker's heap
@@ -517,7 +503,7 @@ func (wk *wfWorker) runShareDeadline(ld *wfWorker, td *core.TaskDeps, r int) err
 		s = &rankShare{done: make(chan error, 1)}
 		wk.share = s
 	}
-	tc := s.bind(wk, ld.gsh, r, ld.src, td, ld.actx)
+	tc := s.bind(ld.gsh, r, ld.src, td, ld.actx)
 	gsh, fn, name, attempt, actx, cfg := ld.gsh, ld.fn, ld.name, ld.attempt, ld.actx, wk.d.cfg
 	go func() { s.done <- runRankAttempt(tc, name, fn, attempt, gsh, cfg) }()
 	select {

@@ -391,7 +391,9 @@ type World = runtime.World
 // Comm is a communicator handle of one core.
 type Comm = runtime.Comm
 
-// TaskCtx is the execution context of an M-task body.
+// TaskCtx is the execution context of an M-task body: its group
+// communicator, the task, its place in the schedule and the attempt
+// context.
 type TaskCtx = runtime.TaskCtx
 
 // TaskFunc is the SPMD body of an M-task.
@@ -478,14 +480,8 @@ func WithReplanner(r Replanner) ExecOption { return runtime.WithReplanner(r) }
 // dependence-driven (wavefront) execution: a task launches as soon as its
 // graph predecessors completed and its group's cores were released by
 // their prior-layer occupants, with no global layer join. Results are
-// bitwise identical to the layered mode; bodies must not use
-// TaskCtx.Global (rejected with an error matching ErrGlobalInWavefront).
+// bitwise identical to the layered mode, and bodies see the same TaskCtx.
 func WithWavefront() ExecOption { return runtime.WithWavefront() }
-
-// ErrGlobalInWavefront marks a task body that touched TaskCtx.Global
-// where no epoch spans the world: under WithWavefront, or inside a
-// composed task.
-var ErrGlobalInWavefront = runtime.ErrGlobalInWavefront
 
 // WithoutTimeline drops O(tasks) state from the Report so million-task
 // executions stay lean: successful attempts fold into a busy core-time
