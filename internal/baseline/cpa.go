@@ -72,5 +72,5 @@ func CPA(m *cost.Model, g *graph.Graph, P int) (*Gantt, error) {
 		alloc[best]++
 	}
 
-	return ListSchedule(m, g, alloc, P)
+	return listSchedule(m, g, alloc, P)
 }

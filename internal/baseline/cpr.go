@@ -31,7 +31,7 @@ func CPRLimited(m *cost.Model, g *graph.Graph, P, maxEvals int) (*Gantt, error) 
 	for id := 0; id < n; id++ {
 		alloc[id] = 1
 	}
-	best, err := ListSchedule(m, g, alloc, P)
+	best, err := listSchedule(m, g, alloc, P)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +52,7 @@ func CPRLimited(m *cost.Model, g *graph.Graph, P, maxEvals int) (*Gantt, error) 
 				continue
 			}
 			alloc[id] = a + 1
-			cand, err := ListSchedule(m, g, alloc, P)
+			cand, err := listSchedule(m, g, alloc, P)
 			if err != nil {
 				return nil, err
 			}

@@ -14,6 +14,7 @@
 package baseline
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 
@@ -112,11 +113,15 @@ func markerTask(t *graph.Task) bool {
 	return t.Kind == graph.KindStart || t.Kind == graph.KindStop
 }
 
+// listSchedule is the list scheduler CPA and CPR run; tests swap in a
+// reference implementation to compare whole runs.
+var listSchedule = ListSchedule
+
 // ListSchedule runs the scheduling phase shared by CPA and CPR: tasks are
 // processed in decreasing bottom-level priority among ready tasks; each
 // task starts as early as its predecessors (plus re-distribution of their
 // outputs) and the availability of alloc[t] symbolic cores permit. The
-// chosen cores are those free earliest.
+// chosen cores are those free earliest, ties going to the lower index.
 func ListSchedule(m *cost.Model, g *graph.Graph, alloc []int, P int) (*Gantt, error) {
 	n := g.Len()
 	if len(alloc) != n {
@@ -128,8 +133,10 @@ func ListSchedule(m *cost.Model, g *graph.Graph, alloc []int, P int) (*Gantt, er
 	bl := bottomLevels(m, g, alloc)
 
 	sched := &Gantt{Graph: g, P: P, Entries: make([]Entry, n)}
-	coreFree := make([]float64, P)
-	finished := make([]bool, n)
+	free := make(coreHeap, P) // all cores free at time 0, already a heap
+	for i := range free {
+		free[i].idx = i
+	}
 	indeg := make([]int, n)
 	for id := 0; id < n; id++ {
 		indeg[id] = len(g.Pred(graph.TaskID(id)))
@@ -166,42 +173,29 @@ func ListSchedule(m *cost.Model, g *graph.Graph, alloc []int, P int) (*Gantt, er
 		}
 
 		var cores []int
-		start := dataReady
+		start, finish := dataReady, dataReady
 		if !markerTask(t) {
+			// Take the a cores that free up earliest; the task
+			// starts once all of them are free.
 			a := clampAlloc(t, alloc[id], P)
-			// Pick the a cores that free up earliest.
-			idx := make([]int, P)
-			for i := range idx {
-				idx[i] = i
-			}
-			sort.Slice(idx, func(i, j int) bool {
-				if coreFree[idx[i]] != coreFree[idx[j]] {
-					return coreFree[idx[i]] < coreFree[idx[j]]
+			cores = make([]int, a)
+			for i := range cores {
+				c := heap.Pop(&free).(freeCore)
+				cores[i] = c.idx
+				if c.at > start {
+					start = c.at
 				}
-				return idx[i] < idx[j]
-			})
-			cores = idx[:a]
+			}
+			finish = start + m.SymbolicTaskTime(t, a)
 			for _, c := range cores {
-				if coreFree[c] > start {
-					start = coreFree[c]
-				}
+				heap.Push(&free, freeCore{at: finish, idx: c})
 			}
+			sort.Ints(cores)
 		}
-		dur := 0.0
-		if !markerTask(t) {
-			dur = m.SymbolicTaskTime(t, len(cores))
-		}
-		finish := start + dur
-		sortedCores := append([]int(nil), cores...)
-		sort.Ints(sortedCores)
-		sched.Entries[id] = Entry{Task: id, Start: start, Finish: finish, Cores: sortedCores}
-		for _, c := range cores {
-			coreFree[c] = finish
-		}
+		sched.Entries[id] = Entry{Task: id, Start: start, Finish: finish, Cores: cores}
 		if finish > sched.Makespan {
 			sched.Makespan = finish
 		}
-		finished[id] = true
 		scheduled++
 		for _, s := range g.Succ(id) {
 			indeg[s]--
@@ -214,6 +208,31 @@ func ListSchedule(m *cost.Model, g *graph.Graph, alloc []int, P int) (*Gantt, er
 		return nil, fmt.Errorf("baseline: scheduled %d of %d tasks", scheduled, n)
 	}
 	return sched, nil
+}
+
+// freeCore is a symbolic core and the time it becomes free.
+type freeCore struct {
+	at  float64
+	idx int
+}
+
+// coreHeap orders cores by (free time, index), earliest first.
+type coreHeap []freeCore
+
+func (h coreHeap) Len() int { return len(h) }
+func (h coreHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].idx < h[j].idx
+}
+func (h coreHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *coreHeap) Push(x any)   { *h = append(*h, x.(freeCore)) }
+func (h *coreHeap) Pop() any {
+	old := *h
+	c := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return c
 }
 
 // criticalPath returns the tasks on a longest path through the graph under

@@ -76,7 +76,7 @@ func schedulerComparison(id, title string, params Fig13Params, speedup bool,
 	g := build(params)
 	for _, p := range params.Cores {
 		mach := arch.CHiC().SubsetCores(p)
-		model := (&cost.Model{Machine: mach}).WithMemo()
+		model := &cost.Model{Machine: mach}
 		seqStep := model.CompTime(g.TotalWork(), 1) / float64(params.Steps)
 
 		record := func(label string, makespan float64, err error) error {

@@ -40,10 +40,14 @@ type Model struct {
 	// ThreadsPerRank is the number of cores joined into one hybrid
 	// rank; 0 means all cores of a node. Ignored unless Hybrid is set.
 	ThreadsPerRank int
-
-	// memo, when non-nil, caches the model's evaluations; see WithMemo.
-	memo *memoTable
 }
+
+// WithMemo returns m: the model keeps no state and evaluates every cost
+// directly.
+//
+// Deprecated: the model has no memo to enable. WithMemo stays only
+// because the benchmark harness (benchmark/stages.go) still calls it.
+func (m *Model) WithMemo() *Model { return m }
 
 // CompTime converts a task's sequential work (in floating-point operations)
 // executed by q cores into seconds, assuming the paper's linear speedup.
@@ -57,15 +61,12 @@ func (m *Model) CompTime(work float64, q int) float64 {
 // ranks reduces a group's core list to one representative core per hybrid
 // rank, returning the representatives, the thread count of each rank, and
 // the largest number of nodes any rank spans (1 unless the machine allows
-// cross-node threads). Without hybrid mode every core is its own rank.
+// cross-node threads). Without hybrid mode every core is its own rank and
+// threads is nil.
 func (m *Model) ranks(cores []arch.CoreID) (reps []arch.CoreID, threads []int, maxSpan int) {
 	maxSpan = 1
 	if !m.Hybrid {
-		threads = make([]int, len(cores))
-		for i := range threads {
-			threads[i] = 1
-		}
-		return cores, threads, maxSpan
+		return cores, nil, maxSpan
 	}
 	tpr := m.ThreadsPerRank
 	if tpr <= 0 {
@@ -106,11 +107,6 @@ func (m *Model) hybridOverhead(span int) float64 {
 	return m.Machine.HybridForkJoin * float64(span)
 }
 
-// ringLink describes one directed hop of a ring.
-type ringLink struct {
-	from, to arch.CoreID
-}
-
 // Allgather returns the time of a multi-broadcast (MPI_Allgather) executed
 // concurrently by the given groups of cores, where every core contributes
 // bytesPerCore bytes. Each group runs a ring over its cores in rank order:
@@ -146,25 +142,9 @@ func (m *Model) AllgatherIn(idx int, groups [][]arch.CoreID, bytesPerCore int) f
 }
 
 // allgatherTimes computes the per-group ring times under mutual
-// contention; empty groups yield zero entries. Memoized results are shared
-// slices and must not be modified by callers (Allgather and AllgatherIn
-// only read them).
+// contention; empty groups yield zero entries. Every core must belong to
+// m.Machine: the per-node counts are indexed by node.
 func (m *Model) allgatherTimes(groups [][]arch.CoreID, bytesPerCore int) []float64 {
-	var key collKey
-	if m.memo != nil {
-		key = collKey{groups: hashGroups(groups), bytes: bytesPerCore}
-		if v, ok := m.memo.gatherGet(key); ok {
-			return v
-		}
-	}
-	out := m.allgatherTimesUncached(groups, bytesPerCore)
-	if m.memo != nil {
-		m.memo.gatherPut(key, out)
-	}
-	return out
-}
-
-func (m *Model) allgatherTimesUncached(groups [][]arch.CoreID, bytesPerCore int) []float64 {
 	out := make([]float64, len(groups))
 	// Reduce to hybrid ranks and scale block sizes: each rank
 	// contributes the combined data of its threads.
@@ -193,38 +173,26 @@ func (m *Model) allgatherTimesUncached(groups [][]arch.CoreID, bytesPerCore int)
 			ov:    m.hybridOverhead(span),
 		})
 	}
-	// Ranks per node across all concurrent groups, for the contention
-	// of the small-message algorithm (every rank exchanges in every
-	// round).
-	nodeRanks := make(map[int]int)
-	for _, sp := range specs {
-		for _, r := range sp.reps {
-			nodeRanks[r.Node]++
-		}
-	}
-	// Gather all inter-node ring links to compute per-node contention.
+	// Per-node counts across all concurrent groups, in one scratch
+	// slice: the ranks of every node, for the contention of the
+	// small-message algorithm (every rank exchanges in every round),
+	// and the inter-node ring links leaving and entering every node.
 	// Links are full duplex, so outgoing and incoming traffic of a node
 	// do not contend with each other; only links in the same direction
 	// share the interface.
-	nodeOut := make(map[int]int)
-	nodeIn := make(map[int]int)
-	var allLinks [][]ringLink
+	nodes := m.Machine.Nodes
+	counts := make([]int, 3*nodes)
+	nodeRanks, nodeOut, nodeIn := counts[:nodes], counts[nodes:2*nodes], counts[2*nodes:]
 	for _, sp := range specs {
-		q := len(sp.reps)
-		links := make([]ringLink, 0, q)
-		if q > 1 {
-			for i := 0; i < q; i++ {
-				l := ringLink{from: sp.reps[i], to: sp.reps[(i+1)%q]}
-				links = append(links, l)
-				if l.from.Node != l.to.Node {
-					nodeOut[l.from.Node]++
-					nodeIn[l.to.Node]++
-				}
+		for i, r := range sp.reps {
+			nodeRanks[r.Node]++
+			if next := sp.reps[(i+1)%len(sp.reps)]; next.Node != r.Node {
+				nodeOut[r.Node]++
+				nodeIn[next.Node]++
 			}
 		}
-		allLinks = append(allLinks, links)
 	}
-	for si, sp := range specs {
+	for _, sp := range specs {
 		q := len(sp.reps)
 		if q <= 1 {
 			out[sp.idx] = sp.ov
@@ -235,15 +203,16 @@ func (m *Model) allgatherTimesUncached(groups [][]arch.CoreID, bytesPerCore int)
 			continue
 		}
 		var step float64
-		for _, l := range allLinks[si] {
-			lp := m.Machine.Link(l.from, l.to)
+		for i, from := range sp.reps {
+			to := sp.reps[(i+1)%q]
+			lp := m.Machine.Link(from, to)
 			t := lp.Latency
 			if sp.block > 0 {
 				bw := lp.Bandwidth
-				if l.from.Node != l.to.Node {
-					c := nodeOut[l.from.Node]
-					if nodeIn[l.to.Node] > c {
-						c = nodeIn[l.to.Node]
+				if from.Node != to.Node {
+					c := nodeOut[from.Node]
+					if nodeIn[to.Node] > c {
+						c = nodeIn[to.Node]
 					}
 					if c > 1 {
 						bw /= float64(c)
@@ -273,7 +242,7 @@ const smallAllgather = 256
 // early rounds stay inside nodes. Inter-node rounds contend for the node
 // interfaces with every rank of the node (nodeRanks counts the ranks per
 // node across all concurrent groups).
-func (m *Model) recursiveDoubling(reps []arch.CoreID, block int, nodeRanks map[int]int) float64 {
+func (m *Model) recursiveDoubling(reps []arch.CoreID, block int, nodeRanks []int) float64 {
 	q := len(reps)
 	maxRanksPerNode := 1
 	for _, r := range reps {
@@ -307,21 +276,6 @@ func (m *Model) recursiveDoubling(reps []arch.CoreID, block int, nodeRanks map[i
 // then within the nodes (node/processor-level rounds). A mapping that
 // packs the group onto few nodes therefore needs fewer expensive rounds.
 func (m *Model) Broadcast(cores []arch.CoreID, bytes int) float64 {
-	var key collKey
-	if m.memo != nil {
-		key = collKey{groups: hashCores(fnvOffset, cores), bytes: bytes}
-		if v, ok := m.memo.bcastGet(key); ok {
-			return v
-		}
-	}
-	v := m.broadcastUncached(cores, bytes)
-	if m.memo != nil {
-		m.memo.bcastPut(key, v)
-	}
-	return v
-}
-
-func (m *Model) broadcastUncached(cores []arch.CoreID, bytes int) float64 {
 	reps, _, span := m.ranks(cores)
 	q := len(reps)
 	if q <= 1 {
@@ -362,29 +316,7 @@ func (m *Model) Barrier(cores []arch.CoreID) float64 {
 // two groups, with network contention equal to the largest number of
 // communicating cores sharing one node.
 func (m *Model) Redistribute(src, dst []arch.CoreID, totalBytes int) float64 {
-	if totalBytes <= 0 || len(src) == 0 || len(dst) == 0 {
-		return 0
-	}
-	var key redistKey
-	if m.memo != nil {
-		key = redistKey{
-			src:   hashCores(fnvOffset, src),
-			dst:   hashCores(fnvOffset, dst),
-			bytes: totalBytes,
-		}
-		if v, ok := m.memo.redistGet(key); ok {
-			return v
-		}
-	}
-	v := m.redistributeUncached(src, dst, totalBytes)
-	if m.memo != nil {
-		m.memo.redistPut(key, v)
-	}
-	return v
-}
-
-func (m *Model) redistributeUncached(src, dst []arch.CoreID, totalBytes int) float64 {
-	if sameCores(src, dst) {
+	if totalBytes <= 0 || len(src) == 0 || len(dst) == 0 || sameCores(src, dst) {
 		return 0
 	}
 	srcReps, _, srcSpan := m.ranks(src)
@@ -448,21 +380,6 @@ func maxCoresPerNode(cores []arch.CoreID) int {
 // collectives (CommCount ring multi-broadcasts of CommBytes total payload,
 // i.e. CommBytes/q contributed per core).
 func (m *Model) TaskTime(t *graph.Task, cores []arch.CoreID) float64 {
-	var key taskKey
-	if m.memo != nil {
-		key = taskKey{symb: taskSymbKey(t, 0), cores: hashCores(fnvOffset, cores)}
-		if v, ok := m.memo.taskGet(key); ok {
-			return v
-		}
-	}
-	v := m.taskTimeUncached(t, cores)
-	if m.memo != nil {
-		m.memo.taskPut(key, v)
-	}
-	return v
-}
-
-func (m *Model) taskTimeUncached(t *graph.Task, cores []arch.CoreID) float64 {
 	q := len(cores)
 	if q == 0 {
 		return math.Inf(1)
@@ -493,19 +410,6 @@ func (m *Model) taskTimeUncached(t *graph.Task, cores []arch.CoreID) float64 {
 // communication hop. It is an upper bound of the physical execution time
 // and is what the scheduling algorithm optimises before mapping.
 func (m *Model) SymbolicTaskTime(t *graph.Task, p int) float64 {
-	if m.memo == nil {
-		return m.symbolicTaskTimeUncached(t, p)
-	}
-	key := taskSymbKey(t, p)
-	if v, ok := m.memo.symbGet(key); ok {
-		return v
-	}
-	v := m.symbolicTaskTimeUncached(t, p)
-	m.memo.symbPut(key, v)
-	return v
-}
-
-func (m *Model) symbolicTaskTimeUncached(t *graph.Task, p int) float64 {
 	if p < 1 {
 		return math.Inf(1)
 	}

@@ -147,7 +147,7 @@ type Allocator struct {
 
 	// Planner plans admissions and resizes. Sharing one planner across
 	// the allocator's lifetime is what makes sizing probes and repeated
-	// resizes cheap (schedule cache, cost-model memoization).
+	// resizes cheap (schedule cache, incremental layer reuse).
 	Planner *plan.Planner
 
 	// Backfill admits a later queued job when the head does not fit

@@ -10,7 +10,7 @@ import (
 // chosen once, at admission, from its predicted speedup curve. The
 // planner supplies the curve — core.Schedule.Time is the predicted
 // symbolic makespan T(p) of the job's layered schedule on a p-core
-// partition, produced by the same memoized cost model that prices the
+// partition, produced by the same cost model that prices the
 // layer-based group-count search — so sizing needs no profiling runs, and
 // repeated probes of the same (graph, partition) pair are served from the
 // planner's schedule cache.

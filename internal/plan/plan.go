@@ -2,9 +2,9 @@
 // top of the paper's combined scheduling and mapping (internal/core): a
 // Planner turns an M-task graph and a machine description into a physical
 // mapping, searching the per-layer group counts of Algorithm 1 on a
-// bounded worker pool, memoizing the cost model evaluations, and serving
-// repeated requests from a fingerprint-sharded LRU schedule cache keyed by
-// graph and machine fingerprints. Concurrent cold plans of the same key
+// bounded worker pool and serving repeated requests from a
+// fingerprint-sharded LRU schedule cache keyed by graph and machine
+// fingerprints. Concurrent cold plans of the same key
 // are coalesced: one request leads the search, the others adopt its
 // result (singleflight), so a burst of identical requests costs one
 // planner invocation.
@@ -40,8 +40,7 @@ type Options struct {
 	Cores int
 
 	// Model overrides the cost model (default: a plain model of the
-	// target machine). The model is not mutated; when memoization is on
-	// the planner works on a memoized copy.
+	// target machine).
 	Model *cost.Model
 
 	// Parallelism is the worker count of the group-count search; 0
@@ -56,9 +55,6 @@ type Options struct {
 	// singleflight coalescing (both are keyed by the same fingerprint).
 	DisableCache bool
 
-	// DisableMemo turns off cost-model memoization.
-	DisableMemo bool
-
 	// DisableIncremental turns off layer-granular schedule reuse for
 	// this request: the cold plan searches every layer from scratch and
 	// records nothing in the planner's family index. Cold-path
@@ -67,9 +63,8 @@ type Options struct {
 
 	// Trace, when non-nil, records the planning request on the
 	// recorder's control track: a span for the whole request, cache
-	// hit/miss counters, the g-search timings of the scheduler, and
-	// gauges for cost-model memoization hits/misses. Tracing never
-	// alters planning decisions.
+	// hit/miss counters and the g-search timings of the scheduler.
+	// Tracing never alters planning decisions.
 	Trace *obs.Recorder
 
 	// Info, when non-nil, is filled with how the request was served;
@@ -153,9 +148,6 @@ func WithForceGroups(g int) Option { return func(o *Options) { o.ForceGroups = g
 // WithoutCache bypasses the schedule cache (and with it the singleflight
 // coalescing) for this request.
 func WithoutCache() Option { return func(o *Options) { o.DisableCache = true } }
-
-// WithoutMemo disables cost-model memoization for this request.
-func WithoutMemo() Option { return func(o *Options) { o.DisableMemo = true } }
 
 // WithoutIncremental disables layer-granular schedule reuse for this
 // request; see Options.DisableIncremental.
@@ -357,9 +349,6 @@ func (p *Planner) planCold(ctx context.Context, g *graph.Graph, m *arch.Machine,
 		}
 	}
 	planStart := o.Trace.Now()
-	if !o.DisableMemo {
-		model = model.WithMemo()
-	}
 	workers := o.Parallelism
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -400,11 +389,6 @@ func (p *Planner) planCold(ctx context.Context, g *graph.Graph, m *arch.Machine,
 	}
 	if o.Trace != nil {
 		o.Trace.Span("plan:"+g.Name, "plan", obs.ControlRank, -1, -1, planStart, o.Trace.Now())
-		if !o.DisableMemo {
-			hits, misses := model.MemoStats()
-			o.Trace.Counter("cost.memo_hits").Add(int64(hits))
-			o.Trace.Counter("cost.memo_misses").Add(int64(misses))
-		}
 	}
 	return mp, nil
 }

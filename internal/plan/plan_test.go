@@ -42,7 +42,7 @@ func simulatedMakespan(t *testing.T, mp *core.Mapping) float64 {
 // TestPlanMatchesSequentialOnSolverGraphs is the acceptance check of the
 // concurrent planner: on every solver workload of the evaluation and
 // several strategies, the parallel cache-backed plan must equal the
-// sequential, memo-free reference — same symbolic makespan, same layer
+// sequential, uncached reference — same symbolic makespan, same layer
 // assignment, and the same simulated makespan.
 func TestPlanMatchesSequentialOnSolverGraphs(t *testing.T) {
 	machine := arch.CHiC().SubsetCores(64)
@@ -50,7 +50,7 @@ func TestPlanMatchesSequentialOnSolverGraphs(t *testing.T) {
 	for name, g := range solverWorkloads() {
 		for _, strat := range strategies {
 			seq, err := New().Plan(context.Background(), g, machine,
-				WithStrategy(strat), WithParallelism(1), WithoutCache(), WithoutMemo())
+				WithStrategy(strat), WithParallelism(1), WithoutCache())
 			if err != nil {
 				t.Fatalf("%s/%s sequential: %v", name, strat.Name(), err)
 			}

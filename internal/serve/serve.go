@@ -479,7 +479,7 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request, simulate bool)
 		s.writePlanReply(w, mp, info)
 		return
 	}
-	model := (&cost.Model{Machine: mp.Machine}).WithMemo()
+	model := &cost.Model{Machine: mp.Machine}
 	prog, _, err := cluster.FromMapping(model, mp)
 	if err != nil {
 		s.writePlanError(w, err)
@@ -513,7 +513,7 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request, simulate bool)
 // completion alone survives it, bounded by its own warm budget.
 func (s *Server) planMapping(ctx context.Context, req *PlanRequest, opts []plan.Option) (*core.Mapping, plan.Info, error) {
 	// The server's recorder doubles as the planner's trace sink, so the
-	// plan.* counters (cache, coalescing, incremental reuse, memo) are
+	// plan.* counters (cache, coalescing, incremental reuse) are
 	// exposed on /metricz next to the serve.* ones.
 	opts = append(opts, plan.WithTrace(s.rec))
 	if s.chaos.Active() {

@@ -17,9 +17,8 @@
 //
 // Plan runs the paper's combined scheduling and mapping — the layer-based
 // group-count search of Algorithm 1 followed by the architecture-aware
-// mapping step — concurrently on a bounded worker pool, memoizes the cost
-// model evaluations, and serves repeated requests from an LRU schedule
-// cache, while staying bit-identical to the sequential reference path.
+// mapping step — concurrently on a bounded worker pool and serves
+// repeated requests from an LRU schedule cache, while staying bit-identical to the sequential reference path.
 // Cancellation and deadlines of ctx are honoured throughout scheduling,
 // mapping and simulation. Failures wrap the sentinel errors
 // ErrInvalidMachine, ErrCyclicGraph, ErrNoCores and ErrCanceled for
@@ -204,18 +203,14 @@ func WithForceGroups(g int) PlanOption { return plan.WithForceGroups(g) }
 // WithoutCache bypasses the schedule cache for this request.
 func WithoutCache() PlanOption { return plan.WithoutCache() }
 
-// WithoutMemo disables cost-model memoization for this request.
-func WithoutMemo() PlanOption { return plan.WithoutMemo() }
-
 // WithoutIncremental disables layer-granular schedule reuse (incremental
 // replanning) for this request: the cold plan searches every layer from
 // scratch and records nothing in the planner's family index.
 func WithoutIncremental() PlanOption { return plan.WithoutIncremental() }
 
 // WithPlanTrace attaches a trace recorder to a Plan request: the request
-// span, the per-layer g-search timings, cache hit/miss counters and
-// cost-model memoization statistics are recorded on the recorder's
-// control track. Tracing never alters planning decisions.
+// span, the per-layer g-search timings and cache hit/miss counters are
+// recorded on the recorder's control track. Tracing never alters planning decisions.
 func WithPlanTrace(rec *TraceRecorder) PlanOption { return plan.WithTrace(rec) }
 
 // PlanInfo reports how one Plan request was served: from the schedule
@@ -237,9 +232,8 @@ var defaultPlanner = plan.New()
 
 // Plan is the combined scheduling and mapping of the paper behind a
 // context-aware engine: it schedules the graph with the layer-based
-// algorithm (the per-layer group-count search runs on a worker pool, with
-// memoized cost evaluations and deterministic tie-breaking, so the result
-// is bit-identical to the sequential path), maps the symbolic cores with
+// algorithm (the per-layer group-count search runs on a worker pool with
+// deterministic tie-breaking, so the result is bit-identical to the sequential path), maps the symbolic cores with
 // the configured strategy, and caches the finished mapping keyed by graph
 // and machine fingerprints. Canceling ctx aborts the search with an error
 // wrapping ErrCanceled.
@@ -375,7 +369,7 @@ func Simulate(mp *Mapping) (*SimResult, error) {
 // SimulateCtx is Simulate with cooperative cancellation (errors wrap
 // ErrCanceled).
 func SimulateCtx(ctx context.Context, mp *Mapping) (*SimResult, error) {
-	model := (&cost.Model{Machine: mp.Machine}).WithMemo()
+	model := &cost.Model{Machine: mp.Machine}
 	prog, _, err := cluster.FromMapping(model, mp)
 	if err != nil {
 		return nil, err
@@ -685,7 +679,7 @@ func PlanRedistribution(src, dst RedistLayout) (*RedistPlan, error) {
 
 // RenderGantt renders a simulated mapping as a text Gantt chart.
 func RenderGantt(mp *Mapping, width int) (string, error) {
-	model := (&cost.Model{Machine: mp.Machine}).WithMemo()
+	model := &cost.Model{Machine: mp.Machine}
 	prog, _, err := cluster.FromMapping(model, mp)
 	if err != nil {
 		return "", err
