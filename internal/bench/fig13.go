@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 
 	"mtask/internal/arch"
 	"mtask/internal/baseline"
@@ -101,7 +100,7 @@ func schedulerComparison(id, title string, params Fig13Params, speedup bool,
 			return nil, err
 		}
 
-		tp, err := (&core.Scheduler{Model: model, Parallel: runtime.GOMAXPROCS(0)}).Schedule(g, p)
+		tp, err := (&core.Scheduler{Model: model}).Schedule(g, p)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -32,11 +34,12 @@ type Scheduler struct {
 	// clamped to the feasible range of each layer.
 	MinGroups, MaxGroups int
 
-	// Parallel is the number of workers evaluating group-count
-	// candidates concurrently across all layers. 0 or 1 searches
-	// sequentially. The result is bit-identical either way: every
-	// candidate is evaluated independently and ties are broken towards
-	// the smallest group count, exactly as the sequential loop does.
+	// Parallel caps the number of workers evaluating group-count
+	// candidates concurrently across all layers; 0 or less means
+	// GOMAXPROCS, and 1 runs the search on the calling goroutine alone.
+	// The result is bit-identical for every worker count: candidates are
+	// evaluated independently and each layer's reduction breaks ties
+	// towards the smallest group count.
 	Parallel int
 
 	// DisableChainContraction skips scheduling step 1.
@@ -51,21 +54,20 @@ type Scheduler struct {
 
 	// Reuse, when non-nil, is consulted before a layer is searched: a
 	// non-nil result is adopted verbatim as the layer's schedule — no
-	// candidate evaluation, no adjustment — on both the sequential and
-	// the parallel path. The graph passed to the hook is the graph being
-	// scheduled (after chain contraction). The caller guarantees the
-	// reused schedule is exactly what the search would produce (the
-	// planner's incremental path matches layers by cost-field
-	// fingerprint, which implies identical search results). The hook
-	// runs sequentially in layer order on both paths.
+	// candidate evaluation, no adjustment. The graph passed to the hook is
+	// the graph being scheduled (after chain contraction). The caller
+	// guarantees the reused schedule is exactly what the search would
+	// produce (the planner's incremental path matches layers by cost-field
+	// fingerprint, which implies identical search results). The hook runs
+	// on the calling goroutine, in layer order, before any candidate is
+	// evaluated.
 	Reuse func(g *graph.Graph, li int, layer graph.Layer) *LayerSchedule
 
 	// Trace, when non-nil, records the g-search on the recorder's
-	// control track: one span per layer on the sequential path (the
-	// span's group field carries the chosen group count), one span for
-	// the whole search plus per-layer decision instants on the parallel
-	// path, and a "plan.candidates" counter of evaluated (layer, g)
-	// pairs. Tracing never alters scheduling decisions.
+	// control track: one "g-search" span for the whole search, one
+	// decision instant per searched layer (reused layers get none), and a
+	// "plan.candidates" counter of evaluated (layer, g) pairs. Tracing
+	// never alters scheduling decisions.
 	Trace *obs.Recorder
 }
 
@@ -98,105 +100,78 @@ func (s *Scheduler) ScheduleCtx(ctx context.Context, g *graph.Graph, P int) (*Sc
 		sched.NodeOf = res.NodeOf
 	}
 
-	layers := graph.Layers(sched.Graph)
-	var err error
-	if s.Parallel > 1 {
-		sched.Layers, err = s.scheduleLayersParallel(ctx, sched.Graph, layers, P)
-	} else {
-		sched.Layers, err = s.scheduleLayersSequential(ctx, sched.Graph, layers, P)
-	}
+	layers, err := s.search(ctx, sched.Graph, graph.Layers(sched.Graph), P)
 	if err != nil {
 		return nil, err
 	}
+	sched.Layers = layers
 	for _, ls := range sched.Layers {
 		sched.Time += ls.Time
 	}
 	return sched, nil
 }
 
-// scheduleLayersSequential is the paper's strictly sequential search, with
-// a cancellation check between layers.
-func (s *Scheduler) scheduleLayersSequential(ctx context.Context, g *graph.Graph, layers []graph.Layer, P int) ([]*LayerSchedule, error) {
-	out := make([]*LayerSchedule, len(layers))
-	sc := getSearchScratch()
-	defer putSearchScratch(sc)
-	for li, layer := range layers {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("scheduling %q: %w (%w)", g.Name, ErrCanceled, err)
-		}
-		if s.Reuse != nil {
-			if ls := s.Reuse(g, li, layer); ls != nil {
-				out[li] = ls
-				continue
-			}
-		}
-		start := s.Trace.Now()
-		out[li] = s.scheduleLayer(g, layer, P, sc)
-		s.Trace.Span("g-search", "plan", obs.ControlRank, li, len(out[li].Groups), start, s.Trace.Now())
-		lo, hi := s.groupBounds(layer, P)
-		s.Trace.Counter("plan.candidates").Add(int64(hi - lo + 1))
-	}
-	return out, nil
+// candidate is one unit of the search: group count g for layer li, and the
+// layer time t it yields.
+type candidate struct {
+	li, g int32
+	t     float64
 }
 
-// searchItem is one unit of the parallel search: evaluate group count g for
-// layer li.
-type searchItem struct {
-	li, g int
-}
-
-// scheduleLayersParallel evaluates every (layer, group count) candidate of
-// Algorithm 1 on a bounded worker pool. Layers are mutually independent in
-// the layer-based algorithm and candidates within a layer are independent
-// by construction, so the search is embarrassingly parallel; the per-layer
-// reduction afterwards replays the sequential loop's tie-breaking (strictly
-// smaller time wins, ties keep the smaller group count) so the result is
-// bit-identical to the sequential path. Workers evaluate candidate layer
-// times only (allocation-free, on pooled scratch); the winning candidate
-// of each layer is materialized once after the reduction.
-func (s *Scheduler) scheduleLayersParallel(ctx context.Context, g *graph.Graph, layers []graph.Layer, P int) ([]*LayerSchedule, error) {
+// search is Algorithm 1's loop over layers and group counts. Layers are
+// mutually independent in the layer-based algorithm and candidates within
+// a layer are independent by construction, so every (layer, g) candidate
+// is evaluated on a bounded worker pool; one of the workers is the calling
+// goroutine, so a single worker starts no goroutine. Each layer is then
+// reduced in order (strictly smaller time wins, ties keep the smaller
+// group count), so the result does not depend on the worker count. Workers
+// evaluate candidate times only (allocation-free, on pooled scratch); the
+// winner of each layer is re-evaluated and materialized once after the
+// reduction.
+func (s *Scheduler) search(ctx context.Context, g *graph.Graph, layers []graph.Layer, P int) ([]*LayerSchedule, error) {
 	searchStart := s.Trace.Now()
 	out := make([]*LayerSchedule, len(layers))
-	lo := make([]int, len(layers))
-	times := make([][]float64, len(layers))
-	var items []searchItem
+	first := make([]int, len(layers)+1) // layer li's candidates are cands[first[li]:first[li+1]]
 	for li, layer := range layers {
+		first[li+1] = first[li]
 		if s.Reuse != nil {
-			if ls := s.Reuse(g, li, layer); ls != nil {
-				out[li] = ls
+			if out[li] = s.Reuse(g, li, layer); out[li] != nil {
 				continue
 			}
 		}
-		l, h := s.groupBounds(layer, P)
-		lo[li] = l
-		times[li] = make([]float64, h-l+1)
-		for gc := l; gc <= h; gc++ {
-			items = append(items, searchItem{li: li, g: gc})
+		lo, hi := s.groupBounds(layer, P)
+		first[li+1] += hi - lo + 1
+	}
+	cands := make([]candidate, first[len(layers)])
+	for li, layer := range layers {
+		lo, _ := s.groupBounds(layer, P)
+		for i := first[li]; i < first[li+1]; i++ {
+			cands[i] = candidate{li: int32(li), g: int32(lo + i - first[li])}
 		}
 	}
 
-	workers := s.Parallel
-	if workers > len(items) {
-		workers = len(items)
-	}
 	var next atomic.Int64
+	evaluate := func() {
+		sc := getSearchScratch()
+		defer putSearchScratch(sc)
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= len(cands) {
+				return
+			}
+			c := &cands[i]
+			c.t = s.candidateTime(g, layers[c.li], P, int(c.g), sc)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := s.workers(len(cands)); w > 1; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := getSearchScratch()
-			defer putSearchScratch(sc)
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					return
-				}
-				it := items[i]
-				times[it.li][it.g-lo[it.li]] = s.candidateTime(g, layers[it.li], P, it.g, sc)
-			}
+			evaluate()
 		}()
 	}
+	evaluate()
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("scheduling %q: %w (%w)", g.Name, ErrCanceled, err)
@@ -204,27 +179,37 @@ func (s *Scheduler) scheduleLayersParallel(ctx context.Context, g *graph.Graph, 
 
 	sc := getSearchScratch()
 	defer putSearchScratch(sc)
-	for li := range layers {
+	for li, layer := range layers {
 		if out[li] != nil {
 			continue // reused
 		}
-		best := math.Inf(1)
-		bestG := lo[li]
-		for i, t := range times[li] {
-			if t < best {
-				best = t
-				bestG = lo[li] + i
+		best, bestG := math.Inf(1), int(cands[first[li]].g)
+		for _, c := range cands[first[li]:first[li+1]] {
+			if c.t < best {
+				best, bestG = c.t, int(c.g)
 			}
 		}
-		out[li] = s.adjusted(g, s.assign(g, layers[li], P, bestG, sc), P)
+		t := s.candidateTime(g, layer, P, bestG, sc)
+		out[li] = s.adjusted(g, assign(layer, bestG, t, sc), P)
 		if s.Trace != nil {
 			s.Trace.Instant(fmt.Sprintf("layer %d: %d groups", li, len(out[li].Groups)),
 				"plan", obs.ControlRank, s.Trace.Now())
 		}
 	}
-	s.Trace.Span("g-search-parallel", "plan", obs.ControlRank, -1, -1, searchStart, s.Trace.Now())
-	s.Trace.Counter("plan.candidates").Add(int64(len(items)))
+	s.Trace.Span("g-search", "plan", obs.ControlRank, -1, -1, searchStart, s.Trace.Now())
+	s.Trace.Counter("plan.candidates").Add(int64(len(cands)))
 	return out, nil
+}
+
+// workers resolves Parallel into the worker count for n candidates:
+// Parallel <= 0 means GOMAXPROCS, and there are never more workers than
+// candidates.
+func (s *Scheduler) workers(n int) int {
+	w := s.Parallel
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return min(w, n)
 }
 
 // groupBounds returns the candidate group-count range [lo, hi] of a layer:
@@ -257,24 +242,8 @@ func (s *Scheduler) groupBounds(layer graph.Layer, P int) (lo, hi int) {
 	return lo, hi
 }
 
-// scheduleLayer implements Algorithm 1 for a single layer: candidates are
-// evaluated allocation-free on the scratch arena and only the winning group
-// count is materialized into a LayerSchedule.
-func (s *Scheduler) scheduleLayer(g *graph.Graph, layer graph.Layer, P int, sc *searchScratch) *LayerSchedule {
-	lo, hi := s.groupBounds(layer, P)
-	best := math.Inf(1)
-	bestG := lo
-	for gCount := lo; gCount <= hi; gCount++ {
-		if t := s.candidateTime(g, layer, P, gCount, sc); t < best {
-			best = t
-			bestG = gCount
-		}
-	}
-	return s.adjusted(g, s.assign(g, layer, P, bestG, sc), P)
-}
-
 // adjusted applies the group size adjustment step to the winning candidate
-// of a layer's search (shared by the sequential and parallel paths).
+// of a layer's search.
 func (s *Scheduler) adjusted(g *graph.Graph, bestLS *LayerSchedule, P int) *LayerSchedule {
 	if !s.DisableAdjustment && bestLS.NumGroups() > 1 {
 		adj := s.adjust(g, bestLS, P)
@@ -285,53 +254,18 @@ func (s *Scheduler) adjusted(g *graph.Graph, bestLS *LayerSchedule, P int) *Laye
 	return bestLS
 }
 
-// assign partitions the P symbolic cores into gCount equal subsets and
-// assigns the layer's tasks to subsets greedily in decreasing order of
-// execution time (LPT), or round-robin if the ablation switch is set. Only
-// the returned LayerSchedule is allocated (sizes, one task slab, the group
-// headers); all working state lives on the scratch arena. The per-group
-// task order matches the former per-group appends: LPT order restricted to
-// each group.
-func (s *Scheduler) assign(g *graph.Graph, layer graph.Layer, P, gCount int, sc *searchScratch) *LayerSchedule {
-	sc.prepare(gCount, len(layer))
-	sizes := make([]int, gCount) // retained by the LayerSchedule
-	equalSizesInto(sizes, P, gCount)
-
-	// Task execution times on their prospective group sizes. Groups
-	// are equal-sized up to rounding; use each group's actual size when
-	// accumulating.
+// assign materializes the candidate with gCount groups that candidateTime
+// last evaluated on sc, whose layer time is t: the group sizes, the LPT
+// order and the task-to-group assignment are read back from the scratch,
+// so the schedule is exactly the one that was timed. Only the returned
+// LayerSchedule is allocated (sizes, one task slab, the group headers); the
+// per-group task order is LPT order restricted to each group.
+func assign(layer graph.Layer, gCount int, t float64, sc *searchScratch) *LayerSchedule {
+	sizes := slices.Clone(sc.sizes[:gCount]) // retained by the LayerSchedule
 	tts := sc.tts[:len(layer)]
-	minSize := sizes[gCount-1]
-	for i, id := range layer {
-		tts[i] = taskTime{id: id, t: s.Model.SymbolicTaskTime(g.Task(id), minSize)}
-	}
-	sortTaskTimes(tts)
-
-	load := sc.load[:gCount]
-	for i := range load {
-		load[i] = 0
-	}
 	asg := sc.asg[:len(layer)]
-	if s.RoundRobin {
-		for i, tt := range tts {
-			gi := i % gCount
-			asg[i] = int32(gi)
-			load[gi] += s.Model.SymbolicTaskTime(g.Task(tt.id), sizes[gi])
-		}
-	} else {
-		h := sc.heap[:gCount]
-		for i := range h {
-			h[i] = int32(i)
-		}
-		for i, tt := range tts {
-			gi := h[0]
-			asg[i] = gi
-			load[gi] += s.Model.SymbolicTaskTime(g.Task(tt.id), sizes[gi])
-			siftDown(h, load, 0)
-		}
-	}
 
-	// Materialize the partition from a single backing slab: count group
+	// Carve the partition from a single backing slab: count group
 	// populations, carve zero-length full-capacity windows, fill in LPT
 	// order.
 	counts := sc.heap[:gCount] // the heap is spent; reuse as counters
@@ -351,14 +285,7 @@ func (s *Scheduler) assign(g *graph.Graph, layer graph.Layer, P, gCount int, sc 
 	for i, gi := range asg {
 		groups[gi] = append(groups[gi], tts[i].id)
 	}
-
-	ls := &LayerSchedule{Layer: layer, Groups: groups, Sizes: sizes}
-	for _, l := range load {
-		if l > ls.Time {
-			ls.Time = l
-		}
-	}
-	return ls
+	return &LayerSchedule{Layer: layer, Groups: groups, Sizes: sizes, Time: t}
 }
 
 // adjust implements the group adjustment step: group sizes are recomputed

@@ -16,7 +16,7 @@ type taskTime struct {
 
 // searchScratch is the pooled arena backing one worker's g-search: every
 // buffer a candidate evaluation needs — group sizes, the LPT-sorted task
-// list, per-group loads, the load min-heap, and the winner's task-to-group
+// list, per-group loads, the load min-heap, and the task-to-group
 // assignment — lives here and is reused across candidates, layers, and
 // plans. Capacities grow in power-of-two size classes (see growTo), so a
 // scratch recycled through the pool serves any layer whose width fits its
@@ -114,13 +114,12 @@ func siftDown(h []int32, load []float64, i int) {
 	}
 }
 
-// candidateTime evaluates one (layer, gCount) candidate of Algorithm 1 and
-// returns the resulting layer time without materializing the partition.
-// The arithmetic — equal split, LPT order, per-group accumulation on the
-// group's actual size — replays assign term by term, so minimizing over
-// candidateTime and materializing only the winner with assign is
-// bit-identical to materializing every candidate. Everything runs on the
-// scratch arena; a call performs no heap allocation.
+// candidateTime evaluates one (layer, gCount) candidate of Algorithm 1 —
+// equal split, LPT order, per-group accumulation on the group's actual
+// size — and returns the resulting layer time. The partition is left on
+// the scratch (sizes, LPT order, task-to-group assignment) for assign to
+// materialize. Everything runs on the scratch arena; a call performs no
+// heap allocation.
 func (s *Scheduler) candidateTime(g *graph.Graph, layer graph.Layer, P, gCount int, sc *searchScratch) float64 {
 	sc.prepare(gCount, len(layer))
 	sizes := sc.sizes[:gCount]
@@ -137,9 +136,11 @@ func (s *Scheduler) candidateTime(g *graph.Graph, layer graph.Layer, P, gCount i
 	for i := range load {
 		load[i] = 0
 	}
+	asg := sc.asg[:len(layer)]
 	if s.RoundRobin {
 		for i, tt := range tts {
 			gi := i % gCount
+			asg[i] = int32(gi)
 			load[gi] += s.Model.SymbolicTaskTime(g.Task(tt.id), sizes[gi])
 		}
 	} else {
@@ -149,8 +150,9 @@ func (s *Scheduler) candidateTime(g *graph.Graph, layer graph.Layer, P, gCount i
 		for i := range h {
 			h[i] = int32(i)
 		}
-		for _, tt := range tts {
+		for i, tt := range tts {
 			gi := h[0]
+			asg[i] = gi
 			load[gi] += s.Model.SymbolicTaskTime(g.Task(tt.id), sizes[gi])
 			siftDown(h, load, 0)
 		}

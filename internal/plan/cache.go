@@ -1,10 +1,8 @@
 package plan
 
 import (
-	"container/list"
-	"sync"
-
 	"mtask/internal/core"
+	"mtask/internal/lru"
 )
 
 // Key identifies a planning request in the schedule cache: the graph and
@@ -24,9 +22,6 @@ type Key struct {
 	// Scheduler knobs.
 	ForceGroups          int
 	MinGroups, MaxGroups int
-	NoChainContraction   bool
-	NoAdjustment         bool
-	RoundRobin           bool
 }
 
 // hash folds every key field into one 64-bit FNV-1a value; the sharded
@@ -42,15 +37,6 @@ func (k Key) hash() uint64 {
 	var flags uint64
 	if k.Hybrid {
 		flags |= 1
-	}
-	if k.NoChainContraction {
-		flags |= 2
-	}
-	if k.NoAdjustment {
-		flags |= 4
-	}
-	if k.RoundRobin {
-		flags |= 8
 	}
 	h = mix(h, flags)
 	h = mix(h, uint64(k.ThreadsPerRank))
@@ -83,81 +69,6 @@ type Cache interface {
 	Purge()
 }
 
-// lruShard is one single-mutex LRU shard. It is the pre-sharding Cache
-// implementation verbatim; ShardedCache composes N of them so concurrent
-// requests for different fingerprints do not serialize on one lock.
-type lruShard struct {
-	mu       sync.Mutex
-	capacity int
-	order    *list.List // front = most recently used
-	entries  map[Key]*list.Element
-
-	hits, misses uint64
-}
-
-type cacheEntry struct {
-	key Key
-	mp  *core.Mapping
-}
-
-func (c *lruShard) get(k Key) (*core.Mapping, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).mp, true
-}
-
-func (c *lruShard) peek(k Key) (*core.Mapping, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*cacheEntry).mp, true
-}
-
-func (c *lruShard) add(k Key, mp *core.Mapping) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		el.Value.(*cacheEntry).mp = mp
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[k] = c.order.PushFront(&cacheEntry{key: k, mp: mp})
-	for c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-	}
-}
-
-func (c *lruShard) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-func (c *lruShard) stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-func (c *lruShard) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.entries = make(map[Key]*list.Element)
-}
-
 // DefaultCacheSize is the schedule cache capacity used when none is given.
 const DefaultCacheSize = 256
 
@@ -171,7 +82,8 @@ const DefaultShards = 16
 // contend when their keys hash to the same shard. The zero value is
 // unusable; construct with NewCache or NewShardedCache.
 type ShardedCache struct {
-	shards []lruShard
+	shards []*lru.Cache[Key, *core.Mapping]
+	per    int // capacity of one shard
 	mask   uint64
 }
 
@@ -203,24 +115,22 @@ func NewShardedCache(capacity, shards int) *ShardedCache {
 		n <<= 1
 	}
 	per := (capacity + n - 1) / n
-	c := &ShardedCache{shards: make([]lruShard, n), mask: uint64(n - 1)}
+	c := &ShardedCache{shards: make([]*lru.Cache[Key, *core.Mapping], n), per: per, mask: uint64(n - 1)}
 	for i := range c.shards {
-		c.shards[i].capacity = per
-		c.shards[i].order = list.New()
-		c.shards[i].entries = make(map[Key]*list.Element)
+		c.shards[i] = lru.New[Key, *core.Mapping](per)
 	}
 	return c
 }
 
 // Capacity returns how many mappings the cache holds before any shard
 // must evict: the per-shard capacity times the shard count.
-func (c *ShardedCache) Capacity() int { return len(c.shards) * c.shards[0].capacity }
+func (c *ShardedCache) Capacity() int { return len(c.shards) * c.per }
 
 // Shards returns the shard count.
 func (c *ShardedCache) Shards() int { return len(c.shards) }
 
-func (c *ShardedCache) shardFor(k Key) *lruShard {
-	return &c.shards[k.hash()&c.mask]
+func (c *ShardedCache) shardFor(k Key) *lru.Cache[Key, *core.Mapping] {
+	return c.shards[k.hash()&c.mask]
 }
 
 // ShardIndex returns the shard the key lives on (for tests and metrics).
@@ -229,25 +139,25 @@ func (c *ShardedCache) ShardIndex(k Key) int { return int(k.hash() & c.mask) }
 // Get returns the cached mapping for the key, marking it most recently
 // used within its shard.
 func (c *ShardedCache) Get(k Key) (*core.Mapping, bool) {
-	return c.shardFor(k).get(k)
+	return c.shardFor(k).Get(k)
 }
 
 // Peek returns the cached mapping without updating recency or counters.
 func (c *ShardedCache) Peek(k Key) (*core.Mapping, bool) {
-	return c.shardFor(k).peek(k)
+	return c.shardFor(k).Peek(k)
 }
 
 // Add inserts a mapping, evicting the least recently used entry of the
 // key's shard when that shard is full.
 func (c *ShardedCache) Add(k Key, mp *core.Mapping) {
-	c.shardFor(k).add(k, mp)
+	c.shardFor(k).Put(k, mp)
 }
 
 // Len returns the number of cached mappings over all shards.
 func (c *ShardedCache) Len() int {
 	n := 0
 	for i := range c.shards {
-		n += c.shards[i].len()
+		n += c.shards[i].Len()
 	}
 	return n
 }
@@ -255,7 +165,7 @@ func (c *ShardedCache) Len() int {
 // Stats returns the hit and miss counts accumulated over all shards.
 func (c *ShardedCache) Stats() (hits, misses uint64) {
 	for i := range c.shards {
-		h, m := c.shards[i].stats()
+		h, m := c.shards[i].Stats()
 		hits += h
 		misses += m
 	}
@@ -268,8 +178,8 @@ func (c *ShardedCache) Stats() (hits, misses uint64) {
 func (c *ShardedCache) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(c.shards))
 	for i := range c.shards {
-		out[i].Len = c.shards[i].len()
-		out[i].Hits, out[i].Misses = c.shards[i].stats()
+		out[i].Len = c.shards[i].Len()
+		out[i].Hits, out[i].Misses = c.shards[i].Stats()
 	}
 	return out
 }
@@ -283,6 +193,6 @@ type ShardStat struct {
 // Purge empties every shard (counters are kept).
 func (c *ShardedCache) Purge() {
 	for i := range c.shards {
-		c.shards[i].purge()
+		c.shards[i].Purge()
 	}
 }

@@ -135,8 +135,8 @@ type incrementalState struct {
 
 // reuse is the core.Scheduler.Reuse hook: fingerprint the layer, adopt the
 // remembered schedule on a hit, fall through to the search on a miss. The
-// scheduler calls it sequentially in layer order on both search paths, so
-// appending to fps needs no locking.
+// scheduler calls it on the calling goroutine in layer order, so appending
+// to fps needs no locking.
 func (st *incrementalState) reuse(g *graph.Graph, _ int, layer graph.Layer) *core.LayerSchedule {
 	fp := LayerFingerprint(g, layer)
 	st.fps = append(st.fps, fp)

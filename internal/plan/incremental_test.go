@@ -83,7 +83,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 		}
 
 		var info Info
-		par := 1 + 7*(iter%2) // alternate sequential / parallel search
+		par := 1 + 7*(iter%2) // alternate one search worker / a pool of eight
 		inc, err := p.Plan(ctx, pg, machine,
 			WithoutCache(), WithInfo(&info), WithParallelism(par))
 		if err != nil {

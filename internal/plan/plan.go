@@ -9,18 +9,17 @@
 // result (singleflight), so a burst of identical requests costs one
 // planner invocation.
 //
-// The engine is deliberately deterministic: the parallel search breaks
-// ties exactly like the sequential loop (smallest group count wins), so a
-// Planner produces bit-identical schedules regardless of its parallelism,
-// and a cache hit or a coalesced request returns the same mapping a cold
-// plan would compute.
+// The engine is deliberately deterministic: the search breaks ties towards
+// the smallest group count whatever its worker count, so a Planner
+// produces bit-identical schedules regardless of its parallelism, and a
+// cache hit or a coalesced request returns the same mapping a cold plan
+// would compute.
 package plan
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"mtask/internal/arch"
 	"mtask/internal/core"
@@ -43,8 +42,9 @@ type Options struct {
 	// target machine).
 	Model *cost.Model
 
-	// Parallelism is the worker count of the group-count search; 0
-	// means GOMAXPROCS, 1 forces the sequential search.
+	// Parallelism caps the worker count of the group-count search; 0
+	// means GOMAXPROCS, 1 runs it on one search worker (see
+	// core.Scheduler.Parallel).
 	Parallelism int
 
 	// MinGroups/MaxGroups bound the per-layer group-count search
@@ -131,8 +131,8 @@ func WithCores(p int) Option { return func(o *Options) { o.Cores = p } }
 // planning).
 func WithCostModel(m *cost.Model) Option { return func(o *Options) { o.Model = m } }
 
-// WithParallelism sets the worker count of the group-count search;
-// WithParallelism(1) forces the sequential reference path.
+// WithParallelism caps the worker count of the group-count search;
+// WithParallelism(1) runs it on one search worker, the calling goroutine.
 func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
 
 // WithGroupBounds bounds the per-layer group-count search to [min, max]
@@ -349,10 +349,6 @@ func (p *Planner) planCold(ctx context.Context, g *graph.Graph, m *arch.Machine,
 		}
 	}
 	planStart := o.Trace.Now()
-	workers := o.Parallelism
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var inc *incrementalState
 	var reuse func(*graph.Graph, int, graph.Layer) *core.LayerSchedule
 	if !o.DisableIncremental {
@@ -364,7 +360,7 @@ func (p *Planner) planCold(ctx context.Context, g *graph.Graph, m *arch.Machine,
 		ForceGroups: o.ForceGroups,
 		MinGroups:   o.MinGroups,
 		MaxGroups:   o.MaxGroups,
-		Parallel:    workers,
+		Parallel:    o.Parallelism,
 		Reuse:       reuse,
 		Trace:       o.Trace,
 	}).ScheduleCtx(ctx, g, key.P)

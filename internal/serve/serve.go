@@ -63,6 +63,7 @@ import (
 	"mtask/internal/cost"
 	"mtask/internal/fault"
 	"mtask/internal/graph"
+	"mtask/internal/lru"
 	"mtask/internal/obs"
 	"mtask/internal/plan"
 )
@@ -105,14 +106,14 @@ type Server struct {
 	// degraded path serves from. Lookups Peek, so they leave recency alone
 	// and, the store keeping no traffic counters, are stat-neutral like
 	// plan.ShardedCache.Peek. Nil without WithDegraded.
-	fallback     *lru[familyKey, *core.Mapping]
+	fallback     *lru.Cache[familyKey, *core.Mapping]
 	degradeAfter time.Duration // 0 = degradation disabled
 	maxDeadline  time.Duration
 
 	// rendered memoizes the mapping-invariant part of /v1/plan replies;
 	// see writePlanReply. Bounded by the schedule cache's capacity, so it
 	// pins at most that many evicted (or purged) mappings.
-	rendered *lru[*core.Mapping, []byte]
+	rendered *lru.Cache[*core.Mapping, []byte]
 
 	capacity, shards int
 	healthWindow     time.Duration
@@ -146,7 +147,7 @@ func WithDegraded(after time.Duration, capacity int) Option {
 		if capacity < 1 {
 			capacity = DefaultFallbackCapacity
 		}
-		s.fallback = newLRU[familyKey, *core.Mapping](capacity)
+		s.fallback = lru.New[familyKey, *core.Mapping](capacity)
 	}
 }
 
@@ -232,7 +233,7 @@ func New(opts ...Option) *Server {
 	if s.sharded != nil {
 		renderCap = s.sharded.Capacity()
 	}
-	s.rendered = newLRU[*core.Mapping, []byte](renderCap)
+	s.rendered = lru.New[*core.Mapping, []byte](renderCap)
 	if s.rec == nil {
 		s.rec = obs.New(0, obs.WithName("mtaskd"))
 	}

@@ -18,7 +18,8 @@
 // Plan runs the paper's combined scheduling and mapping — the layer-based
 // group-count search of Algorithm 1 followed by the architecture-aware
 // mapping step — concurrently on a bounded worker pool and serves
-// repeated requests from an LRU schedule cache, while staying bit-identical to the sequential reference path.
+// repeated requests from an LRU schedule cache, while staying bit-identical
+// to a run on one search worker.
 // Cancellation and deadlines of ctx are honoured throughout scheduling,
 // mapping and simulation. Failures wrap the sentinel errors
 // ErrInvalidMachine, ErrCyclicGraph, ErrNoCores and ErrCanceled for
@@ -187,9 +188,9 @@ func WithCores(p int) PlanOption { return plan.WithCores(p) }
 // WithCostModel overrides the cost model (e.g. hybrid MPI+OpenMP).
 func WithCostModel(m *CostModel) PlanOption { return plan.WithCostModel(m) }
 
-// WithParallelism sets the worker count of the group-count search;
-// WithParallelism(1) forces the sequential reference path and 0 (the
-// default) uses GOMAXPROCS workers.
+// WithParallelism caps the worker count of the group-count search;
+// WithParallelism(1) runs it on one search worker and 0 (the default)
+// uses GOMAXPROCS workers. The result is bit-identical either way.
 func WithParallelism(n int) PlanOption { return plan.WithParallelism(n) }
 
 // WithGroupBounds bounds the per-layer group-count search to [min, max]
@@ -233,7 +234,8 @@ var defaultPlanner = plan.New()
 // Plan is the combined scheduling and mapping of the paper behind a
 // context-aware engine: it schedules the graph with the layer-based
 // algorithm (the per-layer group-count search runs on a worker pool with
-// deterministic tie-breaking, so the result is bit-identical to the sequential path), maps the symbolic cores with
+// deterministic tie-breaking, so the result is bit-identical to a run on
+// one search worker), maps the symbolic cores with
 // the configured strategy, and caches the finished mapping keyed by graph
 // and machine fingerprints. Canceling ctx aborts the search with an error
 // wrapping ErrCanceled.
