@@ -312,6 +312,10 @@ func (g *Graph) Succ(id TaskID) []TaskID { return g.succ[id] }
 // Pred returns the predecessor ids of a task. Shared slice; do not modify.
 func (g *Graph) Pred(id TaskID) []TaskID { return g.pred[id] }
 
+// OutEdges returns the outgoing edges of a task in insertion order.
+// Shared slice; do not modify.
+func (g *Graph) OutEdges(id TaskID) []*Edge { return g.out[id] }
+
 // Edge returns the edge from->to, or nil.
 func (g *Graph) Edge(from, to TaskID) *Edge { return g.edgeIndex()[[2]TaskID{from, to}] }
 

@@ -24,12 +24,12 @@ type Key struct {
 	MinGroups, MaxGroups int
 }
 
-// hash folds every key field into one 64-bit FNV-1a value; the sharded
-// cache and the singleflight table both use it to pick a shard, so equal
-// keys always land on the same shard regardless of which side looks first.
+// hash folds every key field, one word each, into one 64-bit value with
+// the fingerprint mixer; the sharded cache and the singleflight table both
+// use it to pick a shard, so equal keys always land on the same shard
+// regardless of which side looks first.
 func (k Key) hash() uint64 {
-	h := uint64(fnvOffset)
-	h = mix(h, k.Graph)
+	h := mix(fpSeed, k.Graph)
 	h = mix(h, k.Machine)
 	h = mixString(h, k.Strategy)
 	h = mix(h, uint64(k.P))
@@ -41,8 +41,8 @@ func (k Key) hash() uint64 {
 	h = mix(h, flags)
 	h = mix(h, uint64(k.ThreadsPerRank))
 	h = mix(h, uint64(k.ForceGroups))
-	h = mix(h, uint64(k.MinGroups)<<32|uint64(uint32(k.MaxGroups)))
-	return h
+	h = mix(h, uint64(k.MinGroups))
+	return mix(h, uint64(k.MaxGroups))
 }
 
 // Cache is the schedule cache seam of the Planner: a thread-safe map from

@@ -308,7 +308,7 @@ func TestShardDistribution(t *testing.T) {
 	const n = 512
 	for i := 0; i < n; i++ {
 		// Vary the graph fingerprint the way distinct programs would.
-		k := Key{Graph: uint64(i)*fnvPrime + 17, Machine: 7, P: 64, Strategy: "consecutive"}
+		k := Key{Graph: uint64(i)*0x100000001b3 + 17, Machine: 7, P: 64, Strategy: "consecutive"}
 		c.Add(k, &core.Mapping{})
 	}
 	if c.Len() != n {
@@ -337,7 +337,7 @@ func TestShardDistribution(t *testing.T) {
 func TestShardedEviction(t *testing.T) {
 	c := NewShardedCache(32, 4) // 8 mappings per shard
 	mk := func(i int) Key {
-		return Key{Graph: uint64(i)*fnvPrime + 3, P: 64}
+		return Key{Graph: uint64(i)*0x100000001b3 + 3, P: 64}
 	}
 	const n = 200
 	for i := 0; i < n; i++ {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mtask/internal/arch"
+	"mtask/internal/graph"
 	"mtask/internal/ode"
 )
 
@@ -298,6 +299,38 @@ func TestConcurrentRequestsCoalesce(t *testing.T) {
 		if m["serve.coalesced"]+m["serve.cache_hits"] != int64(clients-fingerprints) {
 			t.Fatalf("%d fingerprints: coalesced %d + cache hits %d != %d",
 				fingerprints, m["serve.coalesced"], m["serve.cache_hits"], clients-fingerprints)
+		}
+	}
+}
+
+// TestPlacementsCarryRequestNames checks that a reply labels its
+// placements with the request's own task names: a graph that differs from
+// a cached one only in its task names must not be served that graph's
+// plan, whose placements name the other graph's tasks.
+func TestPlacementsCarryRequestNames(t *testing.T) {
+	h := New().Handler()
+	m := arch.CHiC().SubsetCores(16)
+	g := ode.BuildPABGraph(4000, 600, 8, 2, 2)
+	renamed := g.Clone()
+	for _, task := range renamed.Tasks() {
+		task.Name = "renamed-" + task.Name
+	}
+	for i, g := range []*graph.Graph{g, renamed, renamed} {
+		w := post(h, "/v1/plan", requestBody(t, g, m, PlanOptions{}), "")
+		if w.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, w.Code, w.Body)
+		}
+		var resp PlanResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if cached := i == 2; resp.Cached != cached {
+			t.Fatalf("request %d: cached = %v, want %v", i, resp.Cached, cached)
+		}
+		for _, p := range resp.Placements {
+			if strings.Contains(p.Task, "renamed-") != (g == renamed) {
+				t.Fatalf("request %d: placement names task %q of the other graph", i, p.Task)
+			}
 		}
 	}
 }
