@@ -15,9 +15,9 @@ import (
 // must render "n/a" utilization instead of dividing by zero.
 func TestReportStringZeroWall(t *testing.T) {
 	r := NewReport()
-	r.begin(2, 0)
-	r.startAttempt("t")
-	r.addSpan("t", 0, 0, 2, 0, time.Millisecond, false)
+	r.begin(2)
+	r.Spans = []TaskSpan{{Name: "t", Cores: 2, End: time.Millisecond}}
+	r.busy = 2 * time.Millisecond
 
 	out := r.String()
 	if !strings.Contains(out, "core-time:") {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mtask/internal/arch"
 	"mtask/internal/core"
@@ -154,18 +155,51 @@ func TestResizerErrorFailsExecution(t *testing.T) {
 	}
 }
 
-func TestReportLeanReplanCaveatSurfaced(t *testing.T) {
-	// The WithoutTimeline attempt-numbering caveat must be readable in the
-	// rendered report, not only in godoc.
-	r := NewReport()
-	r.lean = true
-	r.Replans = 1
-	if s := r.String(); !strings.Contains(s, "lean report (WithoutTimeline)") {
-		t.Fatalf("lean replan report misses the caveat note:\n%s", s)
+func TestUtilizationBudgetFollowsResizes(t *testing.T) {
+	// Utilization divides busy core-time by each schedule's cores × the
+	// wall time it ran. A run grown from 2 to 8 cores at barrier 1 must
+	// not read above 100%, nor a run shrunk from 8 to 2 be charged 8
+	// cores throughout; without a resize the budget is P × Wall exactly.
+	g := ladderGraph("budget", 8)
+	s2, s8 := scheduleOn(t, g, 2), scheduleOn(t, g, 8)
+	body := func(*graph.Task) TaskFunc {
+		return func(tc *TaskCtx) error {
+			time.Sleep(2 * time.Millisecond)
+			tc.Group.Barrier()
+			return nil
+		}
 	}
-	r2 := NewReport()
-	r2.Replans = 1
-	if s := r2.String(); strings.Contains(s, "lean report") {
-		t.Fatalf("full report must not carry the lean caveat:\n%s", s)
+	for _, c := range []struct {
+		name     string
+		from, to *core.Schedule
+	}{{"grow", s2, s8}, {"shrink", s8, s2}, {"none", s8, nil}} {
+		rz := func(_ context.Context, completed int) (*core.Schedule, error) {
+			if completed == 1 {
+				return c.to, nil
+			}
+			return nil, nil
+		}
+		w, _ := NewWorld(8)
+		rep, err := ExecuteCtx(context.Background(), w, c.from, body, WithResizer(rz))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		busy, _, frac := rep.Utilization()
+		rep.mu.Lock()
+		_, _, total := rep.coreTimeLocked()
+		rep.mu.Unlock()
+		t.Logf("%s: busy %v of a %v budget (%.1f%%), wall %v", c.name, busy, total, 100*frac, rep.Wall)
+		if busy <= 0 || frac > 1 {
+			t.Fatalf("%s: busy %v, %.1f%% utilized; want within the budget\n%s", c.name, busy, 100*frac, rep)
+		}
+		if c.to == nil {
+			if want := time.Duration(c.from.P) * rep.Wall; total != want {
+				t.Fatalf("%s: budget %v, want P × Wall = %v exactly", c.name, total, want)
+			}
+			continue
+		}
+		if lo, hi := 2*rep.Wall, 8*rep.Wall; total <= lo || total >= hi {
+			t.Fatalf("%s: budget %v outside (2 × Wall, 8 × Wall) = (%v, %v)", c.name, total, lo, hi)
+		}
 	}
 }

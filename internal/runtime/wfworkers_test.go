@@ -491,12 +491,44 @@ func TestWavefrontPeakGoroutinesConstant(t *testing.T) {
 	}
 }
 
+// retentions are the two Report retentions a retention check runs every
+// input in: the full report and the lean one (WithoutTimeline).
+var retentions = []struct {
+	name string
+	opts []ExecOption
+}{{"full", nil}, {"lean", []ExecOption{WithoutTimeline()}}}
+
+// checkRetentions checks that the full and the lean report of one input
+// agree: the same history for every faulted task, and the same Retries,
+// Panics and Layers. The full report holds one span per successful
+// attempt (successes); the lean one holds no spans, and Tasks entries
+// only for the faulted tasks.
+func checkRetentions(t *testing.T, what string, full, lean *Report, faulted []string, successes int) {
+	t.Helper()
+	for _, name := range faulted {
+		if f, l := full.Task(name), lean.Task(name); f != l || f.Failures == 0 {
+			t.Fatalf("%s: %s history full %+v, lean %+v; want equal, with a failure", what, name, f, l)
+		}
+	}
+	if full.Retries != lean.Retries || full.Panics != lean.Panics || full.Layers != lean.Layers {
+		t.Fatalf("%s: retries/panics/layers full %d/%d/%d, lean %d/%d/%d", what,
+			full.Retries, full.Panics, full.Layers, lean.Retries, lean.Panics, lean.Layers)
+	}
+	if len(full.Spans) != successes {
+		t.Fatalf("%s: full report holds %d spans, want one per successful attempt (%d)\n%s", what, len(full.Spans), successes, full)
+	}
+	if len(lean.Spans) != 0 || len(lean.Timeline()) != 0 || len(lean.Tasks) != len(faulted) {
+		t.Fatalf("%s: lean report holds %d spans and %d task entries, want none and the %d faulted tasks\n%s",
+			what, len(lean.Spans), len(lean.Tasks), len(faulted), lean)
+	}
+}
+
 func TestWithoutTimelineLeanReport(t *testing.T) {
-	// WithoutTimeline must drop the O(tasks) report state — no spans, no
-	// per-task entries for clean tasks — while keeping the totals, the
-	// busy core-time accumulator and the full history of every task that
-	// needed fault handling (scripted injection keys on attempt numbers,
-	// which must stay correct).
+	// One scripted retry, run by the dispatcher in both pass widths and
+	// by the sequential reference, each in both retentions: the reports
+	// agree on the retried task's history (the failed first attempt
+	// counted) and on the totals, the lean one drops the spans and every
+	// clean task's entry, and both keep the busy core-time.
 	sched := ImbalancedWorkload(2, 3)
 	body := ImbalancedBody(2*time.Millisecond, time.Millisecond)
 	pol := fault.DefaultPolicy()
@@ -514,55 +546,50 @@ func TestWithoutTimelineLeanReport(t *testing.T) {
 		}
 		return rep
 	}
-	reports := map[string]*Report{
-		"layered":   run(WithoutTimeline()),
-		"wavefront": run(WithoutTimeline(), WithWavefront()),
-		"reference": runSequential(t, sched, 0, 3, body, append(faults, WithoutTimeline())...),
-		"timeline":  run(WithWavefront()), // control: spans retained by default
-	}
-	for mode, rep := range reports {
-		if mode == "timeline" {
-			if len(rep.Spans) != 6 {
-				t.Fatalf("timeline control retained %d spans, want 6", len(rep.Spans))
+	for _, mode := range []struct {
+		name string
+		run  func(opts ...ExecOption) *Report
+	}{
+		{"layered", run},
+		{"wavefront", func(opts ...ExecOption) *Report { return run(append(opts, WithWavefront())...) }},
+		{"reference", func(opts ...ExecOption) *Report {
+			return runSequential(t, sched, 0, 3, body, append(faults, opts...)...)
+		}},
+	} {
+		var reps [2]*Report
+		for i, ret := range retentions {
+			rep := mode.run(ret.opts...)
+			busy, _, frac := rep.Utilization()
+			if busy <= 0 || frac <= 0 || frac > 1 {
+				t.Fatalf("%s, %s: busy core-time %v, frac %.3f\n%s", mode.name, ret.name, busy, frac, rep)
 			}
-			continue
+			if rep.Layers != 3 {
+				t.Fatalf("%s, %s: layers done = %d, want 3\n%s", mode.name, ret.name, rep.Layers, rep)
+			}
+			if tr := rep.Task("slow[1]"); tr != (TaskReport{Name: "slow[1]", Attempts: 2, Retries: 1, Failures: 1}) {
+				t.Fatalf("%s, %s: slow[1] history = %+v, want attempts 2, retries 1, failures 1", mode.name, ret.name, tr)
+			}
+			reps[i] = rep
 		}
-		if len(rep.Spans) != 0 || len(rep.Timeline()) != 0 {
-			t.Fatalf("%s: lean report retained %d spans", mode, len(rep.Spans))
-		}
-		busy, _, frac := rep.Utilization()
-		if busy <= 0 || frac <= 0 {
-			t.Fatalf("%s: lean report lost core-time: busy %v, frac %.3f\n%s", mode, busy, frac, rep)
-		}
-		if rep.Layers != 3 {
-			t.Fatalf("%s: layers done = %d, want 3\n%s", mode, rep.Layers, rep)
-		}
-		// Only the fault-touched task has a history entry, with the
-		// fast-pathed first attempt back-counted.
-		if len(rep.Tasks) != 1 {
-			t.Fatalf("%s: lean report holds %d task entries, want 1\n%s", mode, len(rep.Tasks), rep)
-		}
-		tr := rep.Task("slow[1]")
-		if tr.Attempts != 2 || tr.Retries != 1 || tr.Failures != 1 {
-			t.Fatalf("%s: slow[1] history = %+v, want attempts 2, retries 1, failures 1", mode, tr)
-		}
+		checkRetentions(t, mode.name, reps[0], reps[1], []string{"slow[1]"}, 6)
 	}
 }
 
 func TestLeanReportConcurrentFaults(t *testing.T) {
-	// The lean report's lock-free paths under concurrency: P = 8 workers
-	// run 2 000 tasks while ~5% of them fail (scripted errors and panics
-	// at attempt 1, some again at attempt 2, on either group rank), so
-	// history entries are created while clean tasks number their attempts
-	// and sum their core-time without the report's lock. Every faulted
-	// task's history must equal the full report's and the sequential
-	// reference's, no clean task may gain an entry, and the totals and
-	// the core-time bound must hold. Meant to run under -race.
+	// Both retentions under concurrency: P = 8 workers run 2 000 tasks
+	// while ~5% of them fail (scripted errors and panics at attempt 1,
+	// some again at attempt 2, on either group rank), so Tasks entries
+	// are created under the lock while clean tasks number their attempts
+	// and log their core-time without it. In both pass widths the full and
+	// the lean report must agree with each other (checkRetentions) and
+	// with the sequential reference's on every faulted task's history,
+	// every output must equal the reference's bitwise, and the busy
+	// core-time must stay within P × Wall. Meant to run under -race.
 	const P, layers, gsize = 8, 500, 2
 	sched := gridSchedule(P, layers, gsize)
 	rng := rand.New(rand.NewSource(32))
 	inj := &fault.Injector{}
-	faulted := map[string]bool{}
+	var faulted []string
 	kinds := []fault.Kind{fault.Error, fault.Panic}
 	for li := 0; li < layers; li++ {
 		for c := 0; c < P/gsize; c++ {
@@ -570,7 +597,7 @@ func TestLeanReportConcurrentFaults(t *testing.T) {
 				continue
 			}
 			name := "g" + strconv.Itoa(c) + "." + strconv.Itoa(li)
-			faulted[name] = true
+			faulted = append(faulted, name)
 			for attempt, n := 1, 1+rng.Intn(2); attempt <= n; attempt++ {
 				inj.Script = append(inj.Script, fault.Script{Task: name, Attempt: attempt, Rank: rng.Intn(gsize), Kind: kinds[rng.Intn(2)]})
 			}
@@ -580,27 +607,27 @@ func TestLeanReportConcurrentFaults(t *testing.T) {
 		t.Fatalf("only %d faulted tasks: the script does not exercise concurrent history creation", len(faulted))
 	}
 	faults := []ExecOption{WithPolicy(fault.Policy{MaxRetries: 3}), WithInjector(inj)}
-	ref, rrep := referenceRecorded(t, sched, append(faults, WithoutTimeline())...)
+	ref, rfull := referenceRecorded(t, sched, faults...)
+	_, rlean := referenceRecorded(t, sched, append(faults, WithoutTimeline())...)
+	checkRetentions(t, "reference", rfull, rlean, faulted, layers*P/gsize)
 	for _, mode := range execModes {
-		_, full := runRecorded(t, sched, P, append(faults, mode.opts...)...)
-		got, lean := runRecorded(t, sched, P, append(faults, append(mode.opts, WithoutTimeline())...)...)
-		compareBitwise(t, ref, got)
-		if len(lean.Tasks) != len(faulted) || len(rrep.Tasks) != len(faulted) {
-			t.Fatalf("%s: lean report holds %d entries, reference %d, want the %d faulted tasks",
-				mode.name, len(lean.Tasks), len(rrep.Tasks), len(faulted))
+		var reps [2]*Report
+		for i, ret := range retentions {
+			got, rep := runRecorded(t, sched, P, append(append(faults, mode.opts...), ret.opts...)...)
+			compareBitwise(t, ref, got)
+			if busy, _, _ := rep.Utilization(); busy <= 0 || busy > time.Duration(P)*rep.Wall {
+				t.Fatalf("%s, %s: busy core-time %v outside (0, P×Wall = %v]", mode.name, ret.name, busy, time.Duration(P)*rep.Wall)
+			}
+			reps[i] = rep
 		}
-		for name := range faulted {
-			tr := lean.Task(name)
-			if tr != full.Task(name) || tr != rrep.Task(name) || tr.Attempts < 2 {
-				t.Fatalf("%s: %s history lean %+v, full %+v, reference %+v", mode.name, name, tr, full.Task(name), rrep.Task(name))
+		checkRetentions(t, mode.name, reps[0], reps[1], faulted, layers*P/gsize)
+		for _, name := range faulted {
+			if tr := reps[0].Task(name); tr != rfull.Task(name) || tr.Attempts < 2 {
+				t.Fatalf("%s: %s history %+v, reference %+v", mode.name, name, tr, rfull.Task(name))
 			}
 		}
-		if lean.Retries != full.Retries || lean.Retries != rrep.Retries || lean.Panics != full.Panics || lean.Panics != rrep.Panics {
-			t.Fatalf("%s: retries/panics lean %d/%d, full %d/%d, reference %d/%d", mode.name,
-				lean.Retries, lean.Panics, full.Retries, full.Panics, rrep.Retries, rrep.Panics)
-		}
-		if busy, _, _ := lean.Utilization(); busy <= 0 || busy > time.Duration(P)*lean.Wall {
-			t.Fatalf("%s: lean busy core-time %v outside (0, P×Wall = %v]", mode.name, busy, time.Duration(P)*lean.Wall)
+		if reps[0].Retries != rfull.Retries || reps[0].Panics != rfull.Panics {
+			t.Fatalf("%s: retries/panics %d/%d, reference %d/%d", mode.name, reps[0].Retries, reps[0].Panics, rfull.Retries, rfull.Panics)
 		}
 	}
 }

@@ -480,13 +480,10 @@ func WithReplanner(r Replanner) ExecOption { return runtime.WithReplanner(r) }
 func WithWavefront() ExecOption { return runtime.WithWavefront() }
 
 // WithoutTimeline drops O(tasks) state from the Report so million-task
-// executions stay lean: successful attempts fold into a busy core-time
-// accumulator instead of retained TaskSpans, and per-task histories are
-// kept only for tasks that needed fault handling. One caveat: a task
-// that never fails but re-executes after a degrade-and-replan reports
-// attempt number 1 on the re-execution too (the full report would say 2),
-// so fault-injection scripts keyed on attempt numbers across a replan
-// need the full report.
+// executions stay lean: it retains no TaskSpans (utilization and the
+// totals still work) and keeps per-task histories only for tasks with a
+// fault history. Attempt numbers, and with them the fault injector's
+// decisions, are the same with and without it.
 func WithoutTimeline() ExecOption { return runtime.WithoutTimeline() }
 
 // Resizer lets the caller swap in a schedule of a different core count at
