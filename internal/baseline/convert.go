@@ -62,7 +62,7 @@ func ToProgram(m *cost.Model, s *Gantt, seq []arch.CoreID) (*cluster.Program, []
 		}
 		spec := &prog.Tasks[ti]
 		spec.Deps = append(spec.Deps, fi)
-		if bytes := g.EdgeBytes(e.From, e.To); bytes > 0 {
+		if bytes := g.Payload(e.From, e.Bytes); bytes > 0 {
 			spec.Redist[fi] += bytes
 		}
 	}

@@ -162,10 +162,11 @@ func ListSchedule(m *cost.Model, g *graph.Graph, alloc []int, P int) (*Gantt, er
 
 		// Data-ready time: predecessors plus re-distribution.
 		var dataReady float64
-		for _, p := range g.Pred(id) {
+		from, bytes := g.InEdges(id)
+		for k, p := range from {
 			f := sched.Entries[p].Finish
-			if bytes := g.EdgeBytes(p, id); bytes > 0 {
-				f += m.SymbolicRedistribute(alloc[p], alloc[id], bytes)
+			if b := g.Payload(p, bytes[k]); b > 0 {
+				f += m.SymbolicRedistribute(alloc[p], alloc[id], b)
 			}
 			if f > dataReady {
 				dataReady = f

@@ -49,13 +49,12 @@ func buildStepProgram(mach *arch.Machine, p int, strat core.Strategy, sp stepSpe
 	if mach.TotalCores() < p {
 		return nil, fmt.Errorf("bench: machine %q has %d cores, need %d", mach.Name, mach.TotalCores(), p)
 	}
-	g := len(sp.groupWork)
-	if g < 1 || p < g {
-		return nil, fmt.Errorf("bench: %d groups on %d cores", g, p)
+	sizes, err := core.ProportionalGroupSizes(sp.groupWork, p)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
 	}
 	seq := strat.Sequence(mach)[:p]
-	sizes := core.ProportionalGroupSizes(sp.groupWork, p)
-	groups := make([][]arch.CoreID, g)
+	groups := make([][]arch.CoreID, len(sizes))
 	off := 0
 	for gi, sz := range sizes {
 		groups[gi] = seq[off : off+sz]

@@ -285,15 +285,15 @@ func FromMapping(m *cost.Model, mp *core.Mapping) (*Program, []int, error) {
 				}
 				// Data edges from producers (always in earlier
 				// layers or earlier in this group's order).
-				for _, p := range g.Pred(id) {
+				from, bytes := g.InEdges(id)
+				for k, p := range from {
 					pi := index[p]
 					if pi < 0 {
 						continue // start marker
 					}
-					bytes := g.EdgeBytes(p, id)
 					spec.Deps = append(spec.Deps, pi)
-					if bytes > 0 {
-						spec.Redist[pi] += bytes
+					if b := g.Payload(p, bytes[k]); b > 0 {
+						spec.Redist[pi] += b
 					}
 				}
 				idx := prog.Add(spec)

@@ -342,23 +342,28 @@ func equalSizesInto(sizes []int, P, g int) {
 // ProportionalGroupSizes computes group sizes proportional to the given
 // work shares (the group adjustment rule of Algorithm 1): round(P * w_l /
 // total) with a largest-remainder correction so the sizes sum to P and a
-// floor of one core per group. It is exported for workload builders that
-// partition cores outside the layer scheduler (e.g. the multi-zone
-// benchmark).
-func ProportionalGroupSizes(work []float64, P int) []int {
+// floor of one core per group; without positive total work the cores are
+// split equally. It returns an error for no groups or more groups than
+// cores, where the floor cannot hold. It is exported for workload
+// builders that partition cores outside the layer scheduler (e.g. the
+// multi-zone benchmark).
+func ProportionalGroupSizes(work []float64, P int) ([]int, error) {
+	if len(work) == 0 || P < len(work) {
+		return nil, fmt.Errorf("core: cannot split %d cores into %d groups of at least one core", P, len(work))
+	}
 	var total float64
 	for _, w := range work {
 		total += w
 	}
 	if total <= 0 {
-		return equalSizes(P, len(work))
+		return equalSizes(P, len(work)), nil
 	}
-	return proportionalSizes(work, total, P)
+	return proportionalSizes(work, total, P), nil
 }
 
 // proportionalSizes computes round(g_l = P * seq_l/total) with a largest-
 // remainder correction so the sizes sum to P, and a floor of one core per
-// group.
+// group. It needs P >= len(seq) > 0 and total > 0.
 func proportionalSizes(seq []float64, total float64, P int) []int {
 	g := len(seq)
 	sizes := make([]int, g)

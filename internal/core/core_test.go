@@ -3,7 +3,9 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"mtask/internal/arch"
 	"mtask/internal/cost"
@@ -78,6 +80,41 @@ func TestProportionalSizes(t *testing.T) {
 	}
 	if sizes[0]+sizes[1] != 4 {
 		t.Fatalf("sizes %v do not sum to 4", sizes)
+	}
+}
+
+// TestProportionalGroupSizesRejectsMoreGroupsThanCores: with more groups
+// than cores no split keeps the one-core floor. The remainder loop used to
+// spin forever looking for a group above the floor, and zero work split
+// into zero-core groups; both cases, and no groups at all, are errors.
+func TestProportionalGroupSizesRejectsMoreGroupsThanCores(t *testing.T) {
+	cases := []struct {
+		work []float64
+		p    int
+		want []int // nil: an error
+	}{
+		{[]float64{1, 1, 1}, 2, nil},
+		{[]float64{0, 0, 0}, 2, nil},
+		{nil, 4, nil},
+		{[]float64{0, 0, 0}, 3, []int{1, 1, 1}},
+		{[]float64{3, 1}, 8, []int{6, 2}},
+	}
+	for _, c := range cases {
+		done := make(chan struct{})
+		var sizes []int
+		var err error
+		go func() {
+			defer close(done)
+			sizes, err = ProportionalGroupSizes(c.work, c.p)
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("ProportionalGroupSizes(%v, %d) did not return", c.work, c.p)
+		}
+		if (err == nil) != (c.want != nil) || !slices.Equal(sizes, c.want) {
+			t.Fatalf("ProportionalGroupSizes(%v, %d) = %v, %v; want %v", c.work, c.p, sizes, err, c.want)
+		}
 	}
 }
 

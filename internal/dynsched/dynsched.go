@@ -22,6 +22,7 @@ import (
 	"sort"
 	"sync"
 
+	"mtask/internal/core"
 	"mtask/internal/obs"
 	"mtask/internal/runtime"
 )
@@ -59,10 +60,10 @@ func RunCtx(ctx context.Context, w *runtime.World, root Task) error {
 }
 
 // SplitSizes computes the subgroup sizes for q cores and the given
-// weights: proportional with a floor of one core each and largest-
-// remainder rounding (the same rule as the static scheduler's group
-// adjustment). It returns an error if there are more subgroups than
-// cores.
+// weights: core.ProportionalGroupSizes, the static scheduler's group
+// adjustment rule (proportional with a floor of one core each and
+// largest-remainder rounding). It returns an error for no subgroups, more
+// subgroups than cores, or a negative weight.
 func SplitSizes(q int, weights []float64) ([]int, error) {
 	g := len(weights)
 	if g == 0 {
@@ -71,55 +72,12 @@ func SplitSizes(q int, weights []float64) ([]int, error) {
 	if g > q {
 		return nil, fmt.Errorf("dynsched: cannot split %d cores into %d subgroups", q, g)
 	}
-	var total float64
 	for _, w := range weights {
 		if w < 0 {
 			return nil, fmt.Errorf("dynsched: negative weight %g", w)
 		}
-		total += w
 	}
-	sizes := make([]int, g)
-	if total == 0 {
-		for i := range sizes {
-			sizes[i] = q / g
-			if i < q%g {
-				sizes[i]++
-			}
-		}
-		return sizes, nil
-	}
-	type frac struct {
-		i int
-		f float64
-	}
-	fracs := make([]frac, g)
-	sum := 0
-	for i, w := range weights {
-		exact := float64(q) * w / total
-		sizes[i] = int(exact)
-		if sizes[i] < 1 {
-			sizes[i] = 1
-		}
-		fracs[i] = frac{i: i, f: exact - float64(int(exact))}
-		sum += sizes[i]
-	}
-	sort.Slice(fracs, func(a, b int) bool {
-		if fracs[a].f != fracs[b].f {
-			return fracs[a].f > fracs[b].f
-		}
-		return fracs[a].i < fracs[b].i
-	})
-	for k := 0; sum < q; k = (k + 1) % g {
-		sizes[fracs[k].i]++
-		sum++
-	}
-	for k := g - 1; sum > q; k = (k - 1 + g) % g {
-		if sizes[fracs[k].i] > 1 {
-			sizes[fracs[k].i]--
-			sum--
-		}
-	}
-	return sizes, nil
+	return core.ProportionalGroupSizes(weights, q)
 }
 
 // SplitRun splits the current group into len(tasks) subgroups sized

@@ -2,6 +2,9 @@ package dynsched
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -235,5 +238,84 @@ func TestQuickSplitSizes(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceSplitSizes is SplitSizes' own former rounding, kept as the
+// oracle that delegating to core.ProportionalGroupSizes changed nothing.
+func referenceSplitSizes(q int, weights []float64) []int {
+	g := len(weights)
+	var total float64
+	for _, w := range weights {
+		total += w
+	}
+	sizes := make([]int, g)
+	if total == 0 {
+		for i := range sizes {
+			sizes[i] = q / g
+			if i < q%g {
+				sizes[i]++
+			}
+		}
+		return sizes
+	}
+	type frac struct {
+		i int
+		f float64
+	}
+	fracs := make([]frac, g)
+	sum := 0
+	for i, w := range weights {
+		exact := float64(q) * w / total
+		sizes[i] = int(exact)
+		if sizes[i] < 1 {
+			sizes[i] = 1
+		}
+		fracs[i] = frac{i: i, f: exact - float64(int(exact))}
+		sum += sizes[i]
+	}
+	sort.Slice(fracs, func(a, b int) bool {
+		if fracs[a].f != fracs[b].f {
+			return fracs[a].f > fracs[b].f
+		}
+		return fracs[a].i < fracs[b].i
+	})
+	for k := 0; sum < q; k = (k + 1) % g {
+		sizes[fracs[k].i]++
+		sum++
+	}
+	for k := g - 1; sum > q; k = (k - 1 + g) % g {
+		if sizes[fracs[k].i] > 1 {
+			sizes[fracs[k].i]--
+			sum--
+		}
+	}
+	return sizes
+}
+
+// TestSplitSizesMatchesReference compares SplitSizes with its former body
+// over seeded random splits: zero, tiny, equal and skewed weights, and
+// core counts from one per subgroup to many.
+func TestSplitSizesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 5000; trial++ {
+		g := 1 + rng.Intn(12)
+		q := g + rng.Intn(4*g+64)
+		weights := make([]float64, g)
+		for i := range weights {
+			switch rng.Intn(4) {
+			case 0: // zero
+			case 1:
+				weights[i] = rng.Float64() * 1e-9
+			case 2:
+				weights[i] = float64(1 + rng.Intn(4))
+			default:
+				weights[i] = rng.ExpFloat64() * 100
+			}
+		}
+		got, err := SplitSizes(q, weights)
+		if want := referenceSplitSizes(q, weights); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("SplitSizes(%d, %v) = %v, %v; want %v", q, weights, got, err, want)
+		}
 	}
 }

@@ -578,6 +578,13 @@ func (a *Allocator) requestShrinksLocked() {
 	if share < 1 {
 		share = 1
 	}
+	a.shrinkDonorsLocked(share, need)
+}
+
+// shrinkDonorsLocked lowers the desired size of running non-rigid jobs,
+// largest desired first, until need nodes are given up: each donor gives
+// at most down to max(its minimum, share).
+func (a *Allocator) shrinkDonorsLocked(share, need int) {
 	for _, js := range a.runningSorted(false) {
 		if need <= 0 {
 			break
@@ -585,16 +592,9 @@ func (a *Allocator) requestShrinksLocked() {
 		if js.job.Rigid {
 			continue
 		}
-		floor := js.minN
-		if share > floor {
-			floor = share
-		}
-		give := js.desired - floor
+		give := min(js.desired-max(js.minN, share), need)
 		if give <= 0 {
 			continue
-		}
-		if give > need {
-			give = need
 		}
 		a.setDesiredLocked(js, js.desired-give)
 		need -= give
@@ -659,27 +659,7 @@ func (a *Allocator) rebalanceRunningLocked() {
 	if demand <= 0 {
 		return
 	}
-	for _, js := range a.runningSorted(false) {
-		if demand <= 0 {
-			break
-		}
-		if js.job.Rigid {
-			continue
-		}
-		floor := js.minN
-		if share > floor {
-			floor = share
-		}
-		give := js.desired - floor
-		if give <= 0 {
-			continue
-		}
-		if give > demand {
-			give = demand
-		}
-		a.setDesiredLocked(js, js.desired-give)
-		demand -= give
-	}
+	a.shrinkDonorsLocked(share, demand)
 }
 
 // backfillLocked admits later queued jobs that fit the free nodes (first

@@ -27,14 +27,12 @@ type ContractionResult struct {
 // successor). Start and stop markers and composed nodes are never merged.
 //
 // The contraction is a streaming single pass over the input: output nodes
-// and the members slab are sized exactly up front, edges are emitted by
-// walking the per-source adjacency lists directly (no intermediate edge
-// slice, no sort) and appended to the output without any map lookups —
-// external out-edges leave only chain exits and external in-edges enter
-// only chain heads, so a contracted (from, to) pair can never repeat and
-// no merge map is needed. Contracting an E-edge graph is O(V+E).
+// and the members slab are sized exactly up front, and edges are emitted
+// by walking the out-rows in source order and appended to the output.
+// Contracting an E-edge graph is O(V+E).
 func ContractChains(g *Graph) *ContractionResult {
 	n := g.Len()
+	a := g.rows()
 	mergeable := func(id TaskID) bool {
 		k := g.Task(id).Kind
 		return k == KindBasic
@@ -50,11 +48,12 @@ func ContractChains(g *Graph) *ContractionResult {
 	links := 0
 	for u := 0; u < n; u++ {
 		uid := TaskID(u)
-		if !mergeable(uid) || len(g.Succ(uid)) != 1 {
+		succ, _ := a.out(uid)
+		if !mergeable(uid) || len(succ) != 1 {
 			continue
 		}
-		v := g.Succ(uid)[0]
-		if !mergeable(v) || len(g.Pred(v)) != 1 {
+		v := succ[0]
+		if !mergeable(v) || a.predOff[v+1]-a.predOff[v] != 1 {
 			continue
 		}
 		next[uid] = v
@@ -76,16 +75,11 @@ func ContractChains(g *Graph) *ContractionResult {
 	}
 
 	// Every node with no chain predecessor heads exactly one output node
-	// (a chain of length >= 2, or itself); size the output exactly.
-	outNodes := 0
-	for u := 0; u < n; u++ {
-		if prev[u] == None {
-			outNodes++
-		}
-	}
-
+	// (a chain of length >= 2, or itself), and every link is one edge that
+	// vanishes inside a chain; size the output exactly.
+	outNodes := n - links
 	res := &ContractionResult{Graph: New(g.Name + "/contracted"), NodeOf: make([]TaskID, n)}
-	res.Graph.Grow(outNodes, g.NumEdges())
+	res.Graph.Grow(outNodes, g.NumEdges()-links)
 	for i := range res.NodeOf {
 		res.NodeOf[i] = None
 	}
@@ -159,38 +153,20 @@ func ContractChains(g *Graph) *ContractionResult {
 		}
 	}
 
-	// Exact-degree prepass so edge emission appends into slabs carved by
-	// PresizeAdjacency instead of growing per-node adjacency lists one
-	// edge at a time.
-	degBuf := make([]int, 2*outNodes)
-	outDeg, inDeg := degBuf[:outNodes:outNodes], degBuf[outNodes:]
+	// Re-create edges between contracted nodes from the out-rows in id
+	// order. Chain-internal edges vanish; the others leave only chain
+	// exits and enter only chain heads, so no contracted pair repeats.
 	for u := 0; u < n; u++ {
-		for _, e := range g.out[u] {
-			cf, ct := res.NodeOf[e.From], res.NodeOf[e.To]
-			if cf == ct {
-				continue
+		cf := res.NodeOf[u]
+		succ, bytes := a.out(TaskID(u))
+		for k, v := range succ {
+			if ct := res.NodeOf[v]; ct != cf {
+				b := bytes[k]
+				if b == 0 {
+					b = g.Task(TaskID(u)).OutBytes
+				}
+				res.Graph.MustEdge(cf, ct, b)
 			}
-			outDeg[cf]++
-			inDeg[ct]++
-		}
-	}
-	res.Graph.PresizeAdjacency(outDeg, inDeg)
-
-	// Re-create edges between contracted nodes by streaming over the
-	// per-source adjacency lists in id order. Chain-internal edges vanish;
-	// the remaining pairs are unique (see above), so they are appended
-	// without duplicate-merging.
-	for u := 0; u < n; u++ {
-		for _, e := range g.out[u] {
-			cf, ct := res.NodeOf[e.From], res.NodeOf[e.To]
-			if cf == ct {
-				continue
-			}
-			bytes := e.Bytes
-			if bytes == 0 {
-				bytes = g.Task(e.From).OutBytes
-			}
-			res.Graph.AddUniqueEdge(cf, ct, bytes)
 		}
 	}
 	return res
@@ -212,6 +188,7 @@ type Layer []TaskID
 // quadratic in the step count).
 func Layers(g *Graph) []Layer {
 	n := g.Len()
+	a := g.rows()
 	indeg := make([]int, n)
 	skip := func(id TaskID) bool {
 		k := g.Task(id).Kind
@@ -221,7 +198,7 @@ func Layers(g *Graph) []Layer {
 	readyBuf := make([]TaskID, 0, 2*n)
 	ready, next := readyBuf[0:0:n], readyBuf[n:n:2*n]
 	for id := 0; id < n; id++ {
-		indeg[id] = len(g.Pred(TaskID(id)))
+		indeg[id] = a.predOff[id+1] - a.predOff[id]
 		if indeg[id] == 0 {
 			ready = append(ready, TaskID(id))
 		}
@@ -237,7 +214,8 @@ func Layers(g *Graph) []Layer {
 		start := len(layerSlab)
 		next = next[:0]
 		for _, id := range ready {
-			for _, s := range g.succ[id] {
+			succ, _ := a.out(id)
+			for _, s := range succ {
 				indeg[s]--
 				if indeg[s] == 0 {
 					next = append(next, s)

@@ -43,7 +43,7 @@ func (g *Graph) writeDOTBody(b *strings.Builder, prefix string) {
 	}
 	for _, e := range g.Edges() {
 		label := ""
-		if bytes := g.EdgeBytes(e.From, e.To); bytes > 0 {
+		if bytes := g.Payload(e.From, e.Bytes); bytes > 0 {
 			label = fmt.Sprintf(" [label=\"%dB\" fontsize=8]", bytes)
 		}
 		fmt.Fprintf(b, "  %sn%d -> %sn%d%s;\n", prefix, e.From, prefix, e.To, label)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrCyclicGraph is the sentinel wrapped by TopoOrder and Validate when the
@@ -109,48 +110,67 @@ type Edge struct {
 }
 
 // Graph is an M-task graph. The zero value is an empty graph ready to use.
+//
+// Building a graph appends: AddTask appends a task, AddEdge appends an
+// edge to one list in arrival order. The adjacency every reader sees
+// (Succ, Pred, OutEdges, InEdges, Edges, NumEdges and the passes of this
+// package) is built from that list in one O(V+E) pass on the first read
+// after a mutation, merging duplicate edges into their first occurrence.
+// A graph is built by one goroutine and may then be read from many: the
+// first read builds under a mutex, later reads cost one atomic load. A
+// mutation after a read makes the next read rebuild, so builders add their
+// tasks and edges first and read afterwards instead of interleaving reads
+// and writes per edge.
 type Graph struct {
 	Name  string
 	tasks []*Task
-	succ  [][]TaskID
-	pred  [][]TaskID
-	// out mirrors succ with the *Edge values, so edge enumeration does
-	// not have to go through the edges map.
-	out    [][]*Edge
-	nedges int
+	// edges lists every AddEdge in arrival order, duplicates included.
+	edges []Edge
 
-	// edges is the (from, to) -> *Edge lookup index. It is built lazily
-	// from out on the first point lookup (Edge, AddEdge), so graphs
-	// assembled through the streaming path (AddUniqueEdge, chain
-	// contraction) never pay for a per-edge map insert they may never
-	// need. idxMu makes the lazy build safe when an immutable graph is
-	// shared between goroutines (cached mappings are).
-	edges map[[2]TaskID]*Edge
-	idxMu sync.Mutex
-
-	// edgeSlab, when carved by PresizeAdjacency, backs Edge values so
-	// streaming builders allocate edges in one block instead of one
-	// object each. Its capacity is fixed at carve time, so *Edge
-	// pointers into it stay valid.
-	edgeSlab []Edge
+	// adj is the adjacency built from tasks and edges, nil while a
+	// mutation has made it stale; buildMu serializes concurrent first
+	// reads.
+	adj     atomic.Pointer[adjacency]
+	buildMu sync.Mutex
 }
+
+// adjacency is a graph's rows in compressed form: the out-row of task u is
+// succ[succOff[u]:succOff[u+1]] with the merged payload of each edge at
+// the same position of outBytes, and the in-row of v is
+// pred[predOff[v]:predOff[v+1]] with inBytes aligned likewise.
+type adjacency struct {
+	succOff, predOff  []int
+	succ, pred        []TaskID
+	outBytes, inBytes []int
+}
+
+// row returns window u of a row set as capped slices.
+func row(off []int, ids []TaskID, bytes []int, u TaskID) ([]TaskID, []int) {
+	lo, hi := off[u], off[u+1]
+	return ids[lo:hi:hi], bytes[lo:hi:hi]
+}
+
+func (a *adjacency) out(u TaskID) ([]TaskID, []int) { return row(a.succOff, a.succ, a.outBytes, u) }
+func (a *adjacency) in(v TaskID) ([]TaskID, []int)  { return row(a.predOff, a.pred, a.inBytes, v) }
 
 // New returns an empty named graph.
 func New(name string) *Graph {
 	return &Graph{Name: name}
 }
 
-// Grow preallocates capacity for n additional tasks and hints at e
-// additional edges, so bulk builders (generated benchmark graphs, chain
-// contraction, JSON decoding) append without intermediate reallocations.
+// Grow preallocates capacity for n additional tasks and e additional
+// edges, so bulk builders (generated benchmark graphs, chain contraction,
+// JSON decoding) append without intermediate reallocations.
 func (g *Graph) Grow(n, e int) {
-	if n > 0 {
-		g.tasks = slices.Grow(g.tasks, n)
-		g.succ = slices.Grow(g.succ, n)
-		g.pred = slices.Grow(g.pred, n)
-		g.out = slices.Grow(g.out, n)
+	g.tasks = slices.Grow(g.tasks, max(n, 0))
+	g.edges = slices.Grow(g.edges, max(e, 0))
+}
+
+// changed marks the adjacency stale after a mutation.
+func (g *Graph) changed() {
+	if g.adj.Load() != nil {
+		g.adj.Store(nil)
 	}
-	_ = e // succ/pred/out grow per task; the edge index is lazy
 }
 
 // AddTask adds a task and returns its id. The task's ID field is set by the
@@ -159,9 +179,7 @@ func (g *Graph) AddTask(t *Task) TaskID {
 	id := TaskID(len(g.tasks))
 	t.ID = id
 	g.tasks = append(g.tasks, t)
-	g.succ = append(g.succ, nil)
-	g.pred = append(g.pred, nil)
-	g.out = append(g.out, nil)
+	g.changed()
 	return id
 }
 
@@ -171,8 +189,9 @@ func (g *Graph) AddBasic(name string, work float64) TaskID {
 }
 
 // AddEdge adds the input-output relation from -> to carrying the given
-// number of bytes. Duplicate edges are merged (bytes accumulate). Self
-// edges are rejected.
+// number of bytes. Duplicate edges are merged (bytes accumulate into the
+// first occurrence). Self edges are rejected. Adding an edge is an O(1)
+// append; the merge happens when the adjacency is built.
 func (g *Graph) AddEdge(from, to TaskID, bytes int) error {
 	if !g.valid(from) || !g.valid(to) {
 		return fmt.Errorf("graph %s: edge %d->%d references unknown task", g.Name, from, to)
@@ -180,111 +199,9 @@ func (g *Graph) AddEdge(from, to TaskID, bytes int) error {
 	if from == to {
 		return fmt.Errorf("graph %s: self edge on task %d", g.Name, from)
 	}
-	idx := g.edgeIndex()
-	key := [2]TaskID{from, to}
-	if e, ok := idx[key]; ok {
-		e.Bytes += bytes
-		return nil
-	}
-	e := &Edge{From: from, To: to, Bytes: bytes}
-	idx[key] = e
-	g.appendEdge(e)
+	g.edges = append(g.edges, Edge{From: from, To: to, Bytes: bytes})
+	g.changed()
 	return nil
-}
-
-// AddUniqueEdge is the streaming counterpart of AddEdge for bulk builders:
-// it appends the edge from -> to without consulting (or building) the edge
-// lookup index, so ingesting an E-edge graph is O(E) with no intermediate
-// maps. The caller guarantees that both ids are valid, from != to, and
-// that the edge does not duplicate an existing one — duplicates are NOT
-// merged on this path (Validate and the lazy index would then see the
-// first occurrence only). Chain contraction and the generated benchmark
-// graphs satisfy this by construction.
-func (g *Graph) AddUniqueEdge(from, to TaskID, bytes int) {
-	e := g.newEdge(from, to, bytes)
-	if g.edges != nil {
-		g.edges[[2]TaskID{from, to}] = e
-	}
-	g.appendEdge(e)
-}
-
-// newEdge allocates an Edge, carving from the presized slab while it has
-// room (the slab's capacity never changes, so pointers into it are
-// stable).
-func (g *Graph) newEdge(from, to TaskID, bytes int) *Edge {
-	if len(g.edgeSlab) < cap(g.edgeSlab) {
-		g.edgeSlab = g.edgeSlab[:len(g.edgeSlab)+1]
-		e := &g.edgeSlab[len(g.edgeSlab)-1]
-		e.From, e.To, e.Bytes = from, to, bytes
-		return e
-	}
-	return &Edge{From: from, To: to, Bytes: bytes}
-}
-
-// PresizeAdjacency carves exact-capacity adjacency lists for tasks
-// 0..len(outDeg)-1 out of two shared slabs (one TaskID slab holding the
-// succ windows followed by the pred windows, one *Edge slab) plus an Edge
-// value slab, given every task's final out- and in-degree. Streaming
-// builders that know the degrees up front (chain contraction counts them
-// in a prepass, generated graphs know them by construction) call it once
-// after adding their tasks; the AddUniqueEdge appends that follow stay
-// inside the carved capacities, so ingesting E edges costs three block
-// allocations instead of O(E) incremental slice growths and E edge-object
-// allocations. Appending
-// beyond a carved capacity stays correct — the slice simply grows off the
-// slab. Existing adjacency entries are preserved.
-func (g *Graph) PresizeAdjacency(outDeg, inDeg []int) {
-	totOut, totIn := 0, 0
-	for _, d := range outDeg {
-		totOut += d
-	}
-	for _, d := range inDeg {
-		totIn += d
-	}
-	// succ and pred share one TaskID slab (succ windows first, pred
-	// windows after), halving the allocation count of the prepass.
-	idSlab := make([]TaskID, 0, totOut+totIn)
-	outSlab := make([]*Edge, 0, totOut)
-	// A fresh edge slab: edges already handed out keep their old backing
-	// array alive through their own pointers.
-	g.edgeSlab = make([]Edge, 0, totOut)
-	oOff, iOff := 0, totOut
-	for u, d := range outDeg {
-		g.succ[u] = append(idSlab[oOff:oOff:oOff+d], g.succ[u]...)
-		g.out[u] = append(outSlab[oOff:oOff:oOff+d], g.out[u]...)
-		oOff += d
-	}
-	for u, d := range inDeg {
-		g.pred[u] = append(idSlab[iOff:iOff:iOff+d], g.pred[u]...)
-		iOff += d
-	}
-}
-
-// appendEdge links an edge into the adjacency slices.
-func (g *Graph) appendEdge(e *Edge) {
-	g.succ[e.From] = append(g.succ[e.From], e.To)
-	g.pred[e.To] = append(g.pred[e.To], e.From)
-	g.out[e.From] = append(g.out[e.From], e)
-	g.nedges++
-}
-
-// edgeIndex returns the (from, to) -> *Edge map, building it from the
-// adjacency slices on first use. The build is guarded so concurrent point
-// lookups on a shared immutable graph are safe; mutation (AddEdge) is
-// construction-time and single-threaded as before.
-func (g *Graph) edgeIndex() map[[2]TaskID]*Edge {
-	g.idxMu.Lock()
-	defer g.idxMu.Unlock()
-	if g.edges == nil {
-		idx := make(map[[2]TaskID]*Edge, g.nedges)
-		for _, es := range g.out {
-			for _, e := range es {
-				idx[[2]TaskID{e.From, e.To}] = e
-			}
-		}
-		g.edges = idx
-	}
-	return g.edges
 }
 
 // MustEdge is AddEdge that panics on error, for graph construction code
@@ -293,6 +210,100 @@ func (g *Graph) MustEdge(from, to TaskID, bytes int) {
 	if err := g.AddEdge(from, to, bytes); err != nil {
 		panic(err)
 	}
+}
+
+// rows returns the adjacency, building it on the first read after a
+// mutation.
+func (g *Graph) rows() *adjacency {
+	if a := g.adj.Load(); a != nil {
+		return a
+	}
+	g.buildMu.Lock()
+	defer g.buildMu.Unlock()
+	a := g.adj.Load()
+	if a == nil {
+		a = buildAdjacency(len(g.tasks), g.edges)
+		g.adj.Store(a)
+	}
+	return a
+}
+
+// buildAdjacency builds the rows of n tasks from an edge list in arrival
+// order, in O(n+E) with no map and no sort. A stable counting sort groups
+// the edges by source; within one source a per-target marker finds the
+// first occurrence of each (from, to) pair, and later duplicates add their
+// bytes to it. Out-rows list targets in first-occurrence order and in-rows
+// list sources in the arrival order of their first occurrences.
+func buildAdjacency(n int, edges []Edge) *adjacency {
+	m := len(edges)
+	scratch := make([]int, 2*n+2*m)
+	end, first := scratch[:n:n], scratch[n:2*n:2*n]
+	bySrc, slot := scratch[2*n:2*n+m:2*n+m], scratch[2*n+m:]
+
+	// end[u] becomes the end of source u's group in bySrc, which lists
+	// the edge indices grouped by source in arrival order.
+	for _, e := range edges {
+		end[e.From]++
+	}
+	sum := 0
+	for u, c := range end {
+		end[u] = sum
+		sum += c
+	}
+	for i, e := range edges {
+		bySrc[end[e.From]] = i
+		end[e.From]++
+	}
+
+	// slot[i] is edge i's position in the out-rows, complemented when
+	// edge i repeats an earlier one. first[v]-1 is the latest first
+	// occurrence into v; it belongs to the current source exactly when
+	// its From says so.
+	offs := make([]int, 2*(n+1))
+	a := &adjacency{succOff: offs[: n+1 : n+1], predOff: offs[n+1:]}
+	ne, lo := 0, 0
+	for u, hi := range end {
+		a.succOff[u] = ne
+		for _, i := range bySrc[lo:hi] {
+			to := edges[i].To
+			if j := first[to] - 1; j >= 0 && int(edges[j].From) == u {
+				slot[i] = ^slot[j]
+				continue
+			}
+			slot[i], first[to] = ne, i+1
+			ne++
+		}
+		lo = hi
+	}
+	a.succOff[n] = ne
+
+	ids, bytes := make([]TaskID, 2*ne), make([]int, 2*ne)
+	a.succ, a.pred = ids[:ne:ne], ids[ne:]
+	a.outBytes, a.inBytes = bytes[:ne:ne], bytes[ne:]
+	for i, e := range edges {
+		s := slot[i]
+		if s < 0 {
+			a.outBytes[^s] += e.Bytes
+			continue
+		}
+		a.succ[s] = e.To
+		a.outBytes[s] += e.Bytes
+		a.predOff[e.To+1]++
+	}
+	for v := 0; v < n; v++ {
+		a.predOff[v+1] += a.predOff[v]
+	}
+	// Arrival order again, so each in-row lists its first occurrences as
+	// they came; end is reused as the fill cursor.
+	copy(end, a.predOff[:n])
+	for i, e := range edges {
+		if s := slot[i]; s >= 0 {
+			k := end[e.To]
+			end[e.To]++
+			a.pred[k], a.inBytes[k] = e.From, a.outBytes[s]
+		}
+	}
+	return a
 }
 
 func (g *Graph) valid(id TaskID) bool { return id >= 0 && int(id) < len(g.tasks) }
@@ -306,49 +317,66 @@ func (g *Graph) Len() int { return len(g.tasks) }
 // Tasks returns all tasks in id order. The slice is shared; do not modify.
 func (g *Graph) Tasks() []*Task { return g.tasks }
 
-// Succ returns the successor ids of a task. Shared slice; do not modify.
-func (g *Graph) Succ(id TaskID) []TaskID { return g.succ[id] }
+// Succ returns the successor ids of a task in the order their edges were
+// first added. Shared slice; do not modify.
+func (g *Graph) Succ(id TaskID) []TaskID {
+	to, _ := g.rows().out(id)
+	return to
+}
 
-// Pred returns the predecessor ids of a task. Shared slice; do not modify.
-func (g *Graph) Pred(id TaskID) []TaskID { return g.pred[id] }
+// Pred returns the predecessor ids of a task in the order their edges were
+// first added. Shared slice; do not modify.
+func (g *Graph) Pred(id TaskID) []TaskID {
+	from, _ := g.rows().in(id)
+	return from
+}
 
-// OutEdges returns the outgoing edges of a task in insertion order.
-// Shared slice; do not modify.
-func (g *Graph) OutEdges(id TaskID) []*Edge { return g.out[id] }
+// OutEdges returns the out-row of a task: its successors as Succ does and,
+// at the same positions, the bytes each edge carries (duplicates merged).
+// Shared slices; do not modify.
+func (g *Graph) OutEdges(id TaskID) (to []TaskID, bytes []int) { return g.rows().out(id) }
 
-// Edge returns the edge from->to, or nil.
-func (g *Graph) Edge(from, to TaskID) *Edge { return g.edgeIndex()[[2]TaskID{from, to}] }
+// InEdges returns the in-row of a task: its predecessors as Pred does and,
+// at the same positions, the bytes each edge carries. Shared slices; do
+// not modify.
+func (g *Graph) InEdges(id TaskID) (from []TaskID, bytes []int) { return g.rows().in(id) }
 
-// NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int { return g.nedges }
+// NumEdges returns the number of edges (duplicates merged).
+func (g *Graph) NumEdges() int { return len(g.rows().succ) }
 
-// Edges returns all edges in deterministic (from, to) order. The
-// per-source edge lists are concatenated in source order and each small
-// tail is sorted by destination — no map iteration and no global sort,
-// which matters on the planning hot path (ContractChains enumerates the
-// edges of every solver graph it contracts).
-func (g *Graph) Edges() []*Edge {
-	es := make([]*Edge, 0, g.nedges)
-	for u := range g.out {
-		es = append(es, g.out[u]...)
-		tail := es[len(es)-len(g.out[u]):]
-		slices.SortFunc(tail, func(a, b *Edge) int { return int(a.To) - int(b.To) })
+// Edges returns all edges in deterministic (from, to) order: the out-rows
+// concatenated in source order, each sorted by destination.
+func (g *Graph) Edges() []Edge {
+	a := g.rows()
+	es := make([]Edge, len(a.succ))
+	for u := range g.tasks {
+		lo, hi := a.succOff[u], a.succOff[u+1]
+		for k := lo; k < hi; k++ {
+			es[k] = Edge{From: TaskID(u), To: a.succ[k], Bytes: a.outBytes[k]}
+		}
+		slices.SortFunc(es[lo:hi], func(x, y Edge) int { return int(x.To) - int(y.To) })
 	}
 	return es
 }
 
-// EdgeBytes returns the re-distribution payload of the edge from->to,
-// falling back to the producer's OutBytes when the edge carries no explicit
-// size.
-func (g *Graph) EdgeBytes(from, to TaskID) int {
-	e := g.Edge(from, to)
-	if e == nil {
-		return 0
-	}
-	if e.Bytes > 0 {
-		return e.Bytes
+// Payload returns the re-distribution payload of an edge out of from that
+// carries the given bytes: the bytes themselves, or the producer's
+// OutBytes when the edge carries no explicit size.
+func (g *Graph) Payload(from TaskID, bytes int) int {
+	if bytes > 0 {
+		return bytes
 	}
 	return g.tasks[from].OutBytes
+}
+
+// EdgeBytes returns the Payload of the edge from->to, or 0 if there is no
+// such edge. It scans from's out-row.
+func (g *Graph) EdgeBytes(from, to TaskID) int {
+	succ, bytes := g.OutEdges(from)
+	if k := slices.Index(succ, to); k >= 0 {
+		return g.Payload(from, bytes[k])
+	}
+	return 0
 }
 
 // TotalWork returns the sum of the Work of all tasks.
@@ -360,9 +388,6 @@ func (g *Graph) TotalWork() float64 {
 	return w
 }
 
-// TopoOrder returns a topological order of the task ids, or an error if the
-// graph contains a cycle. The order is deterministic (Kahn's algorithm with
-// a sorted ready set, smallest id first).
 // idHeap is a min-heap of task ids backing TopoOrder's ready queue.
 type idHeap struct{ ids []TaskID }
 
@@ -378,10 +403,14 @@ func (h *idHeap) Pop() interface{} {
 	return x
 }
 
+// TopoOrder returns a topological order of the task ids, or an error if the
+// graph contains a cycle. The order is deterministic (Kahn's algorithm with
+// a sorted ready set, smallest id first).
 func (g *Graph) TopoOrder() ([]TaskID, error) {
+	a := g.rows()
 	indeg := make([]int, len(g.tasks))
 	for id := range g.tasks {
-		indeg[id] = len(g.pred[id])
+		indeg[id] = a.predOff[id+1] - a.predOff[id]
 	}
 	// Min-heap of ready ids: the smallest ready id is emitted first, the
 	// same order the previous sort-per-iteration implementation produced,
@@ -397,7 +426,8 @@ func (g *Graph) TopoOrder() ([]TaskID, error) {
 	for ready.Len() > 0 {
 		id := heap.Pop(ready).(TaskID)
 		order = append(order, id)
-		for _, s := range g.succ[id] {
+		succ, _ := a.out(id)
+		for _, s := range succ {
 			indeg[s]--
 			if indeg[s] == 0 {
 				heap.Push(ready, s)
@@ -410,8 +440,6 @@ func (g *Graph) TopoOrder() ([]TaskID, error) {
 	return order, nil
 }
 
-// Validate checks that the graph is a DAG and that start/stop markers, if
-// present, are unique and are a source / sink respectively.
 // cycleFree is the order-agnostic cycle check behind Validate: a plain
 // Kahn pass with a FIFO work list. It allocates one integer array (the
 // in-degree counts and the work list share a buffer; TaskID's underlying
@@ -419,18 +447,20 @@ func (g *Graph) TopoOrder() ([]TaskID, error) {
 // maintains no heap and emits no order, which matters because Validate
 // runs on every cold plan.
 func (g *Graph) cycleFree() error {
+	a := g.rows()
 	n := len(g.tasks)
 	buf := make([]TaskID, n, 2*n)
 	indeg := buf
 	queue := buf[n : n : 2*n]
 	for id := range g.tasks {
-		indeg[id] = TaskID(len(g.pred[id]))
+		indeg[id] = TaskID(a.predOff[id+1] - a.predOff[id])
 		if indeg[id] == 0 {
 			queue = append(queue, TaskID(id))
 		}
 	}
 	for qi := 0; qi < len(queue); qi++ {
-		for _, s := range g.succ[queue[qi]] {
+		succ, _ := a.out(queue[qi])
+		for _, s := range succ {
 			indeg[s]--
 			if indeg[s] == 0 {
 				queue = append(queue, s)
@@ -443,6 +473,8 @@ func (g *Graph) cycleFree() error {
 	return nil
 }
 
+// Validate checks that the graph is a DAG and that start/stop markers, if
+// present, are unique and are a source / sink respectively.
 func (g *Graph) Validate() error {
 	if err := g.cycleFree(); err != nil {
 		return err
@@ -452,12 +484,12 @@ func (g *Graph) Validate() error {
 		switch t.Kind {
 		case KindStart:
 			starts++
-			if len(g.pred[t.ID]) != 0 {
+			if len(g.Pred(t.ID)) != 0 {
 				return fmt.Errorf("graph %s: start node %d has predecessors", g.Name, t.ID)
 			}
 		case KindStop:
 			stops++
-			if len(g.succ[t.ID]) != 0 {
+			if len(g.Succ(t.ID)) != 0 {
 				return fmt.Errorf("graph %s: stop node %d has successors", g.Name, t.ID)
 			}
 		}
@@ -476,12 +508,13 @@ func (g *Graph) Validate() error {
 // (Section 2.2.3). It returns the two new ids. Tasks added later are not
 // connected automatically.
 func (g *Graph) AddStartStop() (start, stop TaskID) {
+	a := g.rows()
 	var sources, sinks []TaskID
 	for id := range g.tasks {
-		if len(g.pred[id]) == 0 {
+		if a.predOff[id+1] == a.predOff[id] {
 			sources = append(sources, TaskID(id))
 		}
-		if len(g.succ[id]) == 0 {
+		if a.succOff[id+1] == a.succOff[id] {
 			sinks = append(sinks, TaskID(id))
 		}
 	}
@@ -502,12 +535,14 @@ func (g *Graph) Reachable(a, b TaskID) bool {
 	if a == b {
 		return true
 	}
+	adj := g.rows()
 	seen := make([]bool, len(g.tasks))
 	stack := []TaskID{a}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range g.succ[id] {
+		succ, _ := adj.out(id)
+		for _, s := range succ {
 			if s == b {
 				return true
 			}
@@ -533,12 +568,14 @@ func (g *Graph) CriticalPathWork() float64 {
 	if err != nil {
 		return 0
 	}
+	a := g.rows()
 	finish := make([]float64, len(g.tasks))
 	var maxf float64
 	for _, id := range order {
 		f := g.tasks[id].Work
 		var best float64
-		for _, p := range g.pred[id] {
+		pred, _ := a.in(id)
+		for _, p := range pred {
 			if finish[p] > best {
 				best = finish[p]
 			}
@@ -569,8 +606,6 @@ func (g *Graph) Clone() *Graph {
 		}
 		c.AddTask(&nt)
 	}
-	for _, e := range g.Edges() {
-		c.MustEdge(e.From, e.To, e.Bytes)
-	}
+	c.edges = g.Edges()
 	return c
 }

@@ -41,7 +41,7 @@ func TestDuplicateEdgeMerges(t *testing.T) {
 	b := g.AddBasic("b", 1)
 	g.MustEdge(a, b, 5)
 	g.MustEdge(a, b, 7)
-	if got := g.Edge(a, b).Bytes; got != 12 {
+	if got := g.EdgeBytes(a, b); got != 12 {
 		t.Fatalf("merged edge bytes = %d, want 12", got)
 	}
 	if len(g.Succ(a)) != 1 || len(g.Pred(b)) != 1 {

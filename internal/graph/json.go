@@ -15,9 +15,8 @@ import (
 //
 // Wire is that format as plain structs — no nested json.Unmarshaler — so
 // a request that embeds a graph decodes in one json.Unmarshal; Wire.Build
-// turns it into a Graph. The built graph equals the one AddTask/AddEdge
-// would produce from the same tasks and edges (valid endpoints, no self
-// edges, duplicate edges merged); DAG-ness is checked by
+// turns it into a Graph through AddTask and AddEdge (valid endpoints, no
+// self edges, duplicate edges merged). DAG-ness is checked by
 // Validate/TopoOrder at planning time, exactly as for built graphs.
 
 // Wire is the wire form of a Graph.
@@ -129,27 +128,17 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	// Field-wise copy (not *g = *ng): Graph carries the edge-index mutex,
-	// which must not be copied. The decode target is not shared while
-	// unmarshalling, so keeping g's own (unlocked) mutex is fine.
-	g.Name = ng.Name
-	g.tasks = ng.tasks
-	g.succ = ng.succ
-	g.pred = ng.pred
-	g.out = ng.out
-	g.nedges = ng.nedges
-	g.edges = ng.edges
-	g.edgeSlab = ng.edgeSlab
+	// Field-wise (not *g = *ng): Graph holds a mutex, which must not be
+	// copied. The decode target is not shared while unmarshalling.
+	g.Name, g.tasks, g.edges = ng.Name, ng.tasks, ng.edges
+	g.changed()
 	return nil
 }
 
-// Build turns the wire form into a Graph: tasks from one slab, exact-size
-// adjacency, no (from, to) edge map. Unknown kinds, edges naming unknown
-// tasks and self edges are rejected; duplicate edges merge (bytes
-// accumulate) into their first occurrence. The wire form is outside input,
-// so the duplicate search is O(V+E) whatever the edge order: edges are
-// bucketed by source (a stable counting sort), and within one source a
-// per-target slot remembers the first edge to that target.
+// Build turns the wire form into a Graph: tasks from one slab, then one
+// AddEdge per wire edge. Unknown kinds, edges naming unknown tasks and
+// self edges are rejected; duplicate edges merge (bytes accumulate) into
+// their first occurrence.
 func (w *Wire) Build() (*Graph, error) {
 	n := len(w.Tasks)
 	g := New(w.Name)
@@ -182,67 +171,10 @@ func (w *Wire) Build() (*Graph, error) {
 		}
 		g.AddTask(t)
 	}
-	if len(w.Edges) == 0 {
-		return g, nil
-	}
-
-	ne := len(w.Edges)
-	scratch := make([]int, 4*n+2*ne)
-	end, first := scratch[:n], scratch[n:2*n]
-	outDeg, inDeg := scratch[2*n:3*n], scratch[3*n:4*n]
-	bySrc, rep := scratch[4*n:4*n+ne], scratch[4*n+ne:]
-
-	// end[u] becomes the end of source u's bucket in bySrc, which lists the
-	// edge indices grouped by source in arrival order.
 	for _, e := range w.Edges {
-		if !g.valid(e.From) || !g.valid(e.To) {
-			return nil, fmt.Errorf("graph %s: edge %d->%d references unknown task", g.Name, e.From, e.To)
+		if err := g.AddEdge(e.From, e.To, e.Bytes); err != nil {
+			return nil, err
 		}
-		if e.From == e.To {
-			return nil, fmt.Errorf("graph %s: self edge on task %d", g.Name, e.From)
-		}
-		end[e.From]++
-	}
-	sum := 0
-	for u, c := range end {
-		end[u] = sum
-		sum += c
-	}
-	for i, e := range w.Edges {
-		bySrc[end[e.From]] = i
-		end[e.From]++
-	}
-
-	// rep[i] is the first edge with edge i's endpoints (i itself unless i
-	// is a duplicate). first[v]-1 is the latest first-occurrence edge into
-	// v; it belongs to the current source exactly when its From says so.
-	lo := 0
-	for u, hi := range end {
-		for _, i := range bySrc[lo:hi] {
-			to := w.Edges[i].To
-			if j := first[to] - 1; j >= 0 && int(w.Edges[j].From) == u {
-				rep[i] = j
-				continue
-			}
-			rep[i], first[to] = i, i+1
-			outDeg[u]++
-			inDeg[to]++
-		}
-		lo = hi
-	}
-
-	// Arrival order again, so succ, pred and out fill exactly as a chain of
-	// AddEdge calls would. slot (bySrc reused) maps a first occurrence to
-	// its Edge in the slab PresizeAdjacency carved.
-	g.PresizeAdjacency(outDeg, inDeg)
-	slot := bySrc
-	for i, e := range w.Edges {
-		if rep[i] != i {
-			g.edgeSlab[slot[rep[i]]].Bytes += e.Bytes
-			continue
-		}
-		slot[i] = len(g.edgeSlab)
-		g.AddUniqueEdge(e.From, e.To, e.Bytes)
 	}
 	return g, nil
 }

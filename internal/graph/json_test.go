@@ -2,6 +2,7 @@ package graph
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -61,14 +62,8 @@ func TestGraphJSONRoundTrip(t *testing.T) {
 			t.Fatalf("task %d subgraph shape lost", id)
 		}
 	}
-	wantEdges, gotEdges := g.Edges(), back.Edges()
-	if len(wantEdges) != len(gotEdges) {
-		t.Fatalf("%d edges, want %d", len(gotEdges), len(wantEdges))
-	}
-	for i := range wantEdges {
-		if *gotEdges[i] != *wantEdges[i] {
-			t.Fatalf("edge %d: %+v vs %+v", i, gotEdges[i], wantEdges[i])
-		}
+	if wantEdges, gotEdges := g.Edges(), back.Edges(); !slices.Equal(gotEdges, wantEdges) {
+		t.Fatalf("edges %+v, want %+v", gotEdges, wantEdges)
 	}
 	if err := back.Validate(); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package graph_test
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -13,102 +14,159 @@ import (
 	"mtask/internal/plan"
 )
 
-// referenceBuild is the decoder's former build path, kept as the oracle
-// Wire.Build is held to: one AddTask per task, one AddEdge (with its
-// (from, to) map) per edge.
-func referenceBuild(w *graph.Wire) (*graph.Graph, error) {
-	g := graph.New(w.Name)
-	for i, tw := range w.Tasks {
-		t := &graph.Task{
-			Name: tw.Name, Work: tw.Work,
-			CommBytes: tw.CommBytes, CommCount: tw.CommCount,
-			BcastBytes: tw.BcastBytes, BcastCount: tw.BcastCount,
-			OutBytes: tw.OutBytes, MaxWidth: tw.MaxWidth,
-			Members: tw.Members, Meta: tw.Meta,
+// model is the adjacency oracle, kept independent of the graph package's
+// build: maps keyed by task and by (from, to) pair, grown one edge at a
+// time. An edge's first occurrence appends its target to the source's row
+// and its source to the target's row; a duplicate only adds its bytes.
+type model struct {
+	n          int
+	succ, pred map[graph.TaskID][]graph.TaskID
+	bytes      map[[2]graph.TaskID]int
+}
+
+func newModel() *model {
+	return &model{
+		succ:  map[graph.TaskID][]graph.TaskID{},
+		pred:  map[graph.TaskID][]graph.TaskID{},
+		bytes: map[[2]graph.TaskID]int{},
+	}
+}
+
+// addEdge applies AddEdge's rule and reports whether it accepts the edge.
+func (m *model) addEdge(from, to graph.TaskID, bytes int) bool {
+	if from < 0 || to < 0 || int(from) >= m.n || int(to) >= m.n || from == to {
+		return false
+	}
+	key := [2]graph.TaskID{from, to}
+	if _, ok := m.bytes[key]; !ok {
+		m.succ[from] = append(m.succ[from], to)
+		m.pred[to] = append(m.pred[to], from)
+	}
+	m.bytes[key] += bytes
+	return true
+}
+
+// check reports the first difference between g's adjacency and the model:
+// task and edge counts, every Succ and Pred row in order, the bytes of
+// OutEdges and InEdges, Edges() in (from, to) order and EdgeBytes.
+func (m *model) check(g *graph.Graph) error {
+	if g.Len() != m.n || g.NumEdges() != len(m.bytes) {
+		return fmt.Errorf("%d tasks, %d edges, want %d, %d", g.Len(), g.NumEdges(), m.n, len(m.bytes))
+	}
+	for id := 0; id < m.n; id++ {
+		u := graph.TaskID(id)
+		to, outB := g.OutEdges(u)
+		if !slices.Equal(g.Succ(u), m.succ[u]) || !slices.Equal(to, m.succ[u]) {
+			return fmt.Errorf("task %d: succ %v, out-row %v, want %v", id, g.Succ(u), to, m.succ[u])
 		}
-		switch tw.Kind {
-		case "", "basic":
-		case "start":
-			t.Kind = graph.KindStart
-		case "stop":
-			t.Kind = graph.KindStop
-		case "composed":
-			t.Kind = graph.KindComposed
-		default:
+		from, inB := g.InEdges(u)
+		if !slices.Equal(g.Pred(u), m.pred[u]) || !slices.Equal(from, m.pred[u]) {
+			return fmt.Errorf("task %d: pred %v, in-row %v, want %v", id, g.Pred(u), from, m.pred[u])
+		}
+		for k, v := range to {
+			if want := m.bytes[[2]graph.TaskID{u, v}]; outB[k] != want {
+				return fmt.Errorf("out-edge %d->%d: %d bytes, want %d", u, v, outB[k], want)
+			}
+		}
+		for k, p := range from {
+			if want := m.bytes[[2]graph.TaskID{p, u}]; inB[k] != want {
+				return fmt.Errorf("in-edge %d->%d: %d bytes, want %d", p, u, inB[k], want)
+			}
+		}
+	}
+	want := make([]graph.Edge, 0, len(m.bytes))
+	for key, b := range m.bytes {
+		want = append(want, graph.Edge{From: key[0], To: key[1], Bytes: b})
+		payload := b
+		if payload <= 0 {
+			payload = g.Task(key[0]).OutBytes
+		}
+		if got := g.EdgeBytes(key[0], key[1]); got != payload {
+			return fmt.Errorf("EdgeBytes(%d, %d) = %d, want %d", key[0], key[1], got, payload)
+		}
+	}
+	slices.SortFunc(want, func(a, b graph.Edge) int {
+		if a.From != b.From {
+			return int(a.From - b.From)
+		}
+		return int(a.To - b.To)
+	})
+	if got := g.Edges(); !slices.Equal(got, want) {
+		return fmt.Errorf("Edges() %v, want %v", got, want)
+	}
+	return nil
+}
+
+var wireKinds = map[string]graph.Kind{
+	"": graph.KindBasic, "basic": graph.KindBasic,
+	"start": graph.KindStart, "stop": graph.KindStop, "composed": graph.KindComposed,
+}
+
+// wireModel is the model of a wire graph's edges, or an error if the
+// wire form names an unknown kind (composed bodies included) or an edge
+// AddEdge rejects.
+func wireModel(w *graph.Wire) (*model, error) {
+	m := newModel()
+	for i, tw := range w.Tasks {
+		if _, ok := wireKinds[tw.Kind]; !ok {
 			return nil, fmt.Errorf("task %d: unknown kind %q", i, tw.Kind)
 		}
 		if tw.Sub != nil {
-			var err error
-			if t.Sub, err = referenceBuild(tw.Sub); err != nil {
+			if _, err := wireModel(tw.Sub); err != nil {
 				return nil, err
 			}
 		}
-		g.AddTask(t)
+		m.n++
 	}
 	for _, e := range w.Edges {
-		if err := g.AddEdge(e.From, e.To, e.Bytes); err != nil {
-			return nil, err
+		if !m.addEdge(e.From, e.To, e.Bytes) {
+			return nil, fmt.Errorf("edge %d->%d rejected", e.From, e.To)
 		}
 	}
-	return g, nil
+	return m, nil
 }
 
-// sameGraph reports the first difference between two graphs: tasks,
-// succ/pred order, Edges() order and payloads, point lookups, composed
-// bodies and the planner's fingerprint.
-func sameGraph(got, want *graph.Graph) error {
-	if got.Name != want.Name || got.Len() != want.Len() || got.NumEdges() != want.NumEdges() {
-		return fmt.Errorf("shape %q/%d/%d, want %q/%d/%d",
-			got.Name, got.Len(), got.NumEdges(), want.Name, want.Len(), want.NumEdges())
+// matchesWire reports the first difference between a decoded graph and
+// its wire form: name, every task field, the adjacency by the model, and
+// composed bodies recursively.
+func matchesWire(g *graph.Graph, w *graph.Wire) error {
+	if g.Name != w.Name {
+		return fmt.Errorf("name %q, want %q", g.Name, w.Name)
 	}
-	for id, wt := range want.Tasks() {
-		gt := got.Task(graph.TaskID(id))
-		if gt.ID != wt.ID || gt.Name != wt.Name || gt.Kind != wt.Kind ||
-			gt.Work != wt.Work ||
-			gt.CommBytes != wt.CommBytes || gt.CommCount != wt.CommCount ||
-			gt.BcastBytes != wt.BcastBytes || gt.BcastCount != wt.BcastCount ||
-			gt.OutBytes != wt.OutBytes || gt.MaxWidth != wt.MaxWidth ||
-			!slices.Equal(gt.Members, wt.Members) || len(gt.Meta) != len(wt.Meta) {
-			return fmt.Errorf("task %d: %+v, want %+v", id, gt, wt)
+	m, err := wireModel(w)
+	if err != nil {
+		return err
+	}
+	if err := m.check(g); err != nil {
+		return err
+	}
+	for i, tw := range w.Tasks {
+		gt := g.Task(graph.TaskID(i))
+		if gt.ID != graph.TaskID(i) || gt.Name != tw.Name || gt.Kind != wireKinds[tw.Kind] ||
+			gt.Work != tw.Work ||
+			gt.CommBytes != tw.CommBytes || gt.CommCount != tw.CommCount ||
+			gt.BcastBytes != tw.BcastBytes || gt.BcastCount != tw.BcastCount ||
+			gt.OutBytes != tw.OutBytes || gt.MaxWidth != tw.MaxWidth ||
+			!slices.Equal(gt.Members, tw.Members) || !maps.Equal(gt.Meta, tw.Meta) {
+			return fmt.Errorf("task %d: %+v, want %+v", i, gt, tw)
 		}
-		for k, v := range wt.Meta {
-			if gv, ok := gt.Meta[k]; !ok || gv != v {
-				return fmt.Errorf("task %d: meta[%q] = %d, want %d", id, k, gv, v)
-			}
-		}
-		if !slices.Equal(got.Succ(gt.ID), want.Succ(wt.ID)) || !slices.Equal(got.Pred(gt.ID), want.Pred(wt.ID)) {
-			return fmt.Errorf("task %d: succ %v pred %v, want succ %v pred %v",
-				id, got.Succ(gt.ID), got.Pred(gt.ID), want.Succ(wt.ID), want.Pred(wt.ID))
-		}
-		if (gt.Sub == nil) != (wt.Sub == nil) {
-			return fmt.Errorf("task %d: body present %v, want %v", id, gt.Sub != nil, wt.Sub != nil)
+		if (gt.Sub == nil) != (tw.Sub == nil) {
+			return fmt.Errorf("task %d: body present %v, want %v", i, gt.Sub != nil, tw.Sub != nil)
 		}
 		if gt.Sub != nil {
-			if err := sameGraph(gt.Sub, wt.Sub); err != nil {
-				return fmt.Errorf("task %d body: %w", id, err)
+			if err := matchesWire(gt.Sub, tw.Sub); err != nil {
+				return fmt.Errorf("task %d body: %w", i, err)
 			}
 		}
-	}
-	ge, we := got.Edges(), want.Edges()
-	for i := range we {
-		if *ge[i] != *we[i] {
-			return fmt.Errorf("edge %d: %+v, want %+v", i, *ge[i], *we[i])
-		}
-		if e := got.Edge(we[i].From, we[i].To); e == nil || *e != *we[i] {
-			return fmt.Errorf("lookup %d->%d: %+v, want %+v", we[i].From, we[i].To, e, *we[i])
-		}
-	}
-	if gf, wf := plan.GraphFingerprint(got), plan.GraphFingerprint(want); gf != wf {
-		return fmt.Errorf("fingerprint %016x, want %016x", gf, wf)
 	}
 	return nil
 }
 
 // checkDecode is the differential oracle of the graph decoder over one
 // input: whatever encoding/json makes of the bytes, Wire.Build and
-// Graph.UnmarshalJSON accept exactly what the AddTask/AddEdge loop accepts
-// and build the same graph, which validates without panicking and survives
-// a round trip.
+// Graph.UnmarshalJSON accept exactly what the model accepts and build the
+// graph the model describes, which validates without panicking and
+// survives a round trip with its fingerprint.
 func checkDecode(t *testing.T, data []byte) {
 	t.Helper()
 	var w graph.Wire
@@ -120,19 +178,22 @@ func checkDecode(t *testing.T, data []byte) {
 		}
 		return
 	}
-	want, werr := referenceBuild(&w)
+	_, merr := wireModel(&w)
 	got, gerr := w.Build()
-	if (werr == nil) != (gerr == nil) || (werr == nil) != (uerr == nil) {
-		t.Fatalf("reference err %v, Build err %v, UnmarshalJSON err %v", werr, gerr, uerr)
+	if (merr == nil) != (gerr == nil) || (merr == nil) != (uerr == nil) {
+		t.Fatalf("model err %v, Build err %v, UnmarshalJSON err %v", merr, gerr, uerr)
 	}
-	if werr != nil {
+	if merr != nil {
 		return
 	}
-	if err := sameGraph(got, want); err != nil {
+	if err := matchesWire(got, &w); err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if err := sameGraph(&viaUnmarshal, want); err != nil {
+	if err := matchesWire(&viaUnmarshal, &w); err != nil {
 		t.Fatalf("UnmarshalJSON: %v", err)
+	}
+	if gf, uf := plan.GraphFingerprint(got), plan.GraphFingerprint(&viaUnmarshal); gf != uf {
+		t.Fatalf("Build and UnmarshalJSON fingerprint %016x and %016x", gf, uf)
 	}
 	_ = got.Validate() // cyclic graphs decode; planning rejects them
 

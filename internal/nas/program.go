@@ -18,9 +18,6 @@ import (
 // group's zone work); the physical cores come from the mapping strategy's
 // sequence over the machine.
 func BuildProgram(mach *arch.Machine, b Benchmark, zones []Zone, groups [][]int, strat core.Strategy, p, steps int) (*cluster.Program, error) {
-	if p < len(groups) {
-		return nil, fmt.Errorf("nas: %d cores cannot host %d groups", p, len(groups))
-	}
 	if mach.TotalCores() < p {
 		return nil, fmt.Errorf("nas: machine %q has %d cores, need %d", mach.Name, mach.TotalCores(), p)
 	}
@@ -31,7 +28,10 @@ func BuildProgram(mach *arch.Machine, b Benchmark, zones []Zone, groups [][]int,
 	for gi, group := range groups {
 		work[gi] = GroupWork(zones, group)
 	}
-	sizes := core.ProportionalGroupSizes(work, p)
+	sizes, err := core.ProportionalGroupSizes(work, p)
+	if err != nil {
+		return nil, fmt.Errorf("nas: %w", err)
+	}
 	seq := strat.Sequence(mach)
 	groupCores := make([][]arch.CoreID, len(groups))
 	off := 0

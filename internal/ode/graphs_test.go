@@ -1,6 +1,7 @@
 package ode
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"mtask/internal/arch"
@@ -135,5 +136,25 @@ func TestPABMGraphSchedulesTaskParallel(t *testing.T) {
 	}
 	if got := s.Layers[0].NumGroups(); got < 2 {
 		t.Fatalf("PABM layer scheduled with %d groups; expected task parallelism", got)
+	}
+}
+
+// TestScaledGraphAllocsIndependentOfEdges gates the graph's one adjacency
+// build: building the scaled solver graph and reading it once allocates
+// the same small number of blocks at 10k tasks as at 100k, so neither the
+// builder nor the build allocates per task or per edge. The collector is
+// off while counting: a collection empties the pool fmt.Sprintf takes its
+// printer from, which would add blocks that depend on timing.
+func TestScaledGraphAllocsIndependentOfEdges(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's pool drops inflate the counts")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(tasks int) float64 {
+		return testing.AllocsPerRun(2, func() { ScaledSolverGraph(tasks).Succ(0) })
+	}
+	small, large := allocs(10_000), allocs(100_000)
+	if small != large || large > 16 {
+		t.Fatalf("building and reading allocates %v blocks at 10k tasks and %v at 100k, want the same, at most 16", small, large)
 	}
 }

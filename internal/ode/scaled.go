@@ -30,9 +30,10 @@ const unrolledFanOut = 4
 // (exactly what solver time-step unrolling does to real request streams).
 //
 // The builder is allocation-lean by construction: tasks come from one
-// slab, adjacency is pre-sized with Grow, and every edge is appended with
-// AddUniqueEdge (edges are unique by construction), so building a
-// million-task graph performs no map work and no quadratic pass.
+// slab, Grow presizes the task and edge lists, and every edge is one
+// AddEdge append, so building a million-task graph performs no map work
+// and no quadratic pass, and the graph's first read builds its adjacency
+// in a constant number of allocations.
 func BuildUnrolledGraph(stages, chainLen, steps, n int, evalFlops float64) *graph.Graph {
 	if stages < 1 || chainLen < 1 || steps < 1 {
 		panic("ode: BuildUnrolledGraph needs stages, chainLen, steps >= 1")
@@ -40,19 +41,9 @@ func BuildUnrolledGraph(stages, chainLen, steps, n int, evalFlops float64) *grap
 	const workPeriod = 16
 	vb := vecBytes(n)
 	total := stages * chainLen * steps
+	fan := min(unrolledFanOut, stages)
 	chainEdges := stages * (chainLen - 1) * steps
-	coupleEdges := 0
-	if steps > 1 {
-		fan := unrolledFanOut
-		if fan > stages {
-			fan = stages
-		}
-		coupleEdges = stages * fan * (steps - 1)
-	}
-	fan := unrolledFanOut
-	if fan > stages {
-		fan = stages
-	}
+	coupleEdges := stages * fan * (steps - 1)
 	g := graph.New(fmt.Sprintf("UNROLL(stages=%d,chain=%d,n=%d)", stages, chainLen, n))
 	g.Grow(total+2, chainEdges+coupleEdges+2*stages)
 
@@ -81,57 +72,30 @@ func BuildUnrolledGraph(stages, chainLen, steps, n int, evalFlops float64) *grap
 			}
 		}
 	}
-	// Start/stop markers wired directly (the generic AddStartStop scans
-	// all tasks and routes through the edge index; sources and sinks are
-	// known by construction here).
+	// Start/stop markers wired directly (the generic AddStartStop reads
+	// the adjacency to find sources and sinks; they are known by
+	// construction here).
 	start := g.AddTask(&graph.Task{Name: "start", Kind: graph.KindStart})
 	stop := g.AddTask(&graph.Task{Name: "stop", Kind: graph.KindStop})
-
-	// Exact degrees by construction, so edge ingestion runs on carved
-	// slabs.
-	outDeg := make([]int, total+2)
-	inDeg := make([]int, total+2)
-	for s := 0; s < steps; s++ {
-		for i := 0; i < stages; i++ {
-			h := int(head(s, i))
-			for c := 0; c < chainLen-1; c++ {
-				outDeg[h+c] = 1
-				inDeg[h+c+1] = 1
-			}
-			if s < steps-1 {
-				outDeg[h+chainLen-1] = fan
-			} else {
-				outDeg[h+chainLen-1] = 1 // to stop
-			}
-			if s > 0 {
-				inDeg[h] = fan
-			} else {
-				inDeg[h] = 1 // from start
-			}
-		}
-	}
-	outDeg[start] = stages
-	inDeg[stop] = stages
-	g.PresizeAdjacency(outDeg, inDeg)
 
 	// Pass 2: edges.
 	for s := 0; s < steps; s++ {
 		for i := 0; i < stages; i++ {
 			h := head(s, i)
 			for c := 1; c < chainLen; c++ {
-				g.AddUniqueEdge(h+graph.TaskID(c-1), h+graph.TaskID(c), vb/stages)
+				g.MustEdge(h+graph.TaskID(c-1), h+graph.TaskID(c), vb/stages)
 			}
 			if s > 0 {
 				exit := head(s-1, i) + graph.TaskID(chainLen-1)
 				for j := 0; j < fan; j++ {
-					g.AddUniqueEdge(exit, head(s, (i+j)%stages), vb/stages)
+					g.MustEdge(exit, head(s, (i+j)%stages), vb/stages)
 				}
 			}
 		}
 	}
 	for i := 0; i < stages; i++ {
-		g.AddUniqueEdge(start, head(0, i), 0)
-		g.AddUniqueEdge(head(steps-1, i)+graph.TaskID(chainLen-1), stop, 0)
+		g.MustEdge(start, head(0, i), 0)
+		g.MustEdge(head(steps-1, i)+graph.TaskID(chainLen-1), stop, 0)
 	}
 	return g
 }

@@ -75,8 +75,8 @@ func mixCosts(h uint64, t *graph.Task) uint64 {
 // edges of a source can be summed in any order. The third step is a
 // finalizer that keeps the sum from inheriting the additive structure of
 // neighbouring task ids.
-func edgeWord(e *graph.Edge) uint64 {
-	return mix(mix(mix(fpSeed, uint64(e.To)), uint64(e.Bytes)), fpSeed)
+func edgeWord(to graph.TaskID, bytes int) uint64 {
+	return mix(mix(mix(fpSeed, uint64(to)), uint64(bytes)), fpSeed)
 }
 
 // GraphFingerprint returns a 64-bit fingerprint of an M-task graph
@@ -106,10 +106,10 @@ func graphFP(h uint64, g *graph.Graph, names bool) uint64 {
 		}
 		w = mixCosts(w, t)
 		w = mix(w, uint64(t.OutBytes))
-		out := g.OutEdges(graph.TaskID(id))
+		out, bytes := g.OutEdges(graph.TaskID(id))
 		var sum uint64
-		for _, e := range out {
-			sum += edgeWord(e)
+		for k, to := range out {
+			sum += edgeWord(to, bytes[k])
 		}
 		// The out-degree and whether a composed body follows share a word.
 		var sub uint64
