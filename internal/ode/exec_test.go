@@ -368,7 +368,7 @@ func TestExecStateBytesPerTask(t *testing.T) {
 	// The allocation bill of a task is its published output vector and
 	// little else: bytes per basic task stay within 1.25 · 8n (the slack
 	// covers the free-list vectors of ranks other than 0 and the
-	// communicators' pooled staging buffers) and mallocs per basic task
+	// group communicators' staging buffers) and mallocs per basic task
 	// (body and dispatch together) stay below what they were before the
 	// block-local rewrite. Measured on this gate (P=4, n=4096, 4 steps,
 	// go1.24, per basic task):

@@ -76,7 +76,7 @@ func barrierRounds(n int) int {
 }
 
 // reset prepares the barrier for n members with the given busy-spin
-// budget, reusing the flag array when a pooled communicator is recycled.
+// budget, reusing the flag array when a communicator is reset in place.
 func (b *treeBarrier) reset(n, spin int) {
 	b.n = n
 	b.rounds = barrierRounds(n)

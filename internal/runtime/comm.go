@@ -11,8 +11,9 @@
 // through per-member, cache-line-padded, double-buffered slots so every
 // collective costs exactly one barrier round, and the *Into variants
 // (BcastInto, AllgatherInto, AllgatherAsInto) write into caller-owned buffers
-// so steady-state inner loops allocate nothing. The value-returning APIs
-// stage through a sync.Pool-backed scratch pool.
+// so steady-state inner loops allocate nothing. Staging buffers belong to
+// their communicator's slots, which the dispatcher's leaders keep from
+// one attempt to the next.
 //
 // The runtime provides functional execution (real numerics, real
 // synchronization); timing experiments at cluster scale use the simulator
@@ -114,37 +115,6 @@ func (e *AbortError) Is(target error) bool { return target == ErrCommAborted }
 // ErrCommAborted is matched (via errors.Is) by every AbortError.
 var ErrCommAborted = errors.New("runtime: communicator aborted")
 
-// scratchPool recycles staging buffers across communicators, so the
-// value-returning collectives and pooled communicators reach a
-// steady state where staging allocates nothing.
-var scratchPool sync.Pool
-
-// getScratch returns a buffer of length n from the pool (or a fresh one).
-func getScratch(n int) []float64 {
-	if v, _ := scratchPool.Get().(*[]float64); v != nil && cap(*v) >= n {
-		return (*v)[:n]
-	}
-	c := n
-	if c < 64 {
-		c = 64
-	}
-	return make([]float64, n, c)
-}
-
-// putScratch returns a buffer to the pool. The boxing allocation is
-// scoped behind the emptiness check: Put(&b) would make the parameter
-// itself escape, charging one heap slice header per call even on the
-// early return — which communicator release pays once per slot per task
-// on the dispatch hot path, where most slots never staged anything.
-func putScratch(b []float64) {
-	if cap(b) == 0 {
-		return
-	}
-	boxed := new([]float64)
-	*boxed = b[:0]
-	scratchPool.Put(boxed)
-}
-
 // fslot is one member's staging slot for float64 collectives, padded to a
 // cache line (two slice headers = 48 bytes + 16). Contributions are copied
 // in before the barrier, so callers may reuse their own buffers the moment
@@ -152,15 +122,14 @@ func putScratch(b []float64) {
 // the old second "slot reuse" barrier round.
 type fslot struct {
 	cur []float64 // staged contribution of the in-flight collective
-	buf []float64 // backing storage, grown from the scratch pool
+	buf []float64 // backing storage, grown to the largest contribution
 	_   [16]byte
 }
 
 // stage copies data into the slot's backing storage.
 func (s *fslot) stage(data []float64) {
 	if cap(s.buf) < len(data) {
-		putScratch(s.buf)
-		s.buf = getScratch(len(data))
+		s.buf = make([]float64, len(data), max(len(data), 64))
 	}
 	s.cur = s.buf[:len(data)]
 	copy(s.cur, data)
@@ -200,7 +169,8 @@ type splitGen struct {
 // sequence number: a member rewrites a parity-p slot at sequence s+2,
 // which it can only reach after completing the barrier of collective s+1,
 // which every peer only enters after it finished reading collective s's
-// slots — so one barrier round per collective is enough.
+// slots — so one barrier round per collective is enough, also across the
+// attempts of a reused group communicator (wfWorker.groupComm).
 type commShared struct {
 	kind   CommKind
 	ranks  []int // world ranks of the members, in communicator rank order
@@ -221,11 +191,6 @@ type commShared struct {
 	children []*commShared
 }
 
-// commPool recycles communicator shells (barrier flags, slot arrays,
-// staging buffers) for callers that create communicators at high rate —
-// the fault executor builds a fresh group communicator per retry attempt.
-var commPool = sync.Pool{New: func() any { return new(commShared) }}
-
 // barrierSpin returns the busy-spin budget of a barrier, none on a single
 // P. GOMAXPROCS takes the scheduler's lock, so callers decide once per
 // execution or World run and pass the budget to every communicator.
@@ -237,72 +202,46 @@ func barrierSpin() int {
 }
 
 // newCommShared builds the shared state of a communicator over the given
-// world ranks. Used by World.Run and by the fault-tolerant executor, which
-// constructs group communicators directly from the schedule (a fresh one
-// per attempt) instead of through collective Split calls.
+// world ranks. World.Run and Split call it; the dispatcher calls it for a
+// leader's first group communicator and after a failed attempt, and
+// otherwise reuses the leader's last one (wfWorker.groupComm).
 func newCommShared(kind CommKind, worldRanks []int, stats *Stats, rec *obs.Recorder, spin int) *commShared {
-	s := commPool.Get().(*commShared)
+	s := new(commShared)
+	s.reset(kind, worldRanks, stats, rec, spin)
+	return s
+}
+
+// reset makes the communicator one over the given world ranks, as if
+// newly built, keeping the capacity of its flag and slot arrays and its
+// staging buffers. Callers must guarantee that no goroutine still holds a
+// handle: the dispatcher resets only the communicator of a successful
+// attempt, after every rank's share returned.
+func (s *commShared) reset(kind CommKind, worldRanks []int, stats *Stats, rec *obs.Recorder, spin int) {
 	n := len(worldRanks)
 	s.kind = kind
 	s.ranks = worldRanks
 	s.stats = stats
 	s.rec = rec
 	s.bar.reset(n, spin)
-	if cap(s.mems) < n {
-		s.mems = make([]memberState, n)
-	} else {
-		s.mems = s.mems[:n]
-		for i := range s.mems {
-			s.mems[i] = memberState{}
-		}
-	}
+	s.mems = fit(s.mems, n)
+	clear(s.mems)
 	for p := 0; p < 2; p++ {
-		if cap(s.fslots[p]) < n {
-			s.fslots[p] = make([]fslot, n)
-		} else {
-			s.fslots[p] = s.fslots[p][:n]
-		}
-		if cap(s.vslots[p]) < n {
-			s.vslots[p] = make([]vslot, n)
-		} else {
-			s.vslots[p] = s.vslots[p][:n]
-		}
-		if cap(s.aslots[p]) < n {
-			s.aslots[p] = make([]aslot, n)
-		} else {
-			s.aslots[p] = s.aslots[p][:n]
-		}
-		if cap(s.sslots[p]) < n {
-			s.sslots[p] = make([]sslot, n)
-		} else {
-			s.sslots[p] = s.sslots[p][:n]
-		}
+		s.fslots[p] = fit(s.fslots[p], n) // stale staged data is never read
+		s.vslots[p] = fit(s.vslots[p], n)
+		s.aslots[p] = fit(s.aslots[p], n)
+		clear(s.aslots[p]) // drop the previous member set's values
+		s.sslots[p] = fit(s.sslots[p], n)
 	}
-	return s
+	s.splits, s.children = nil, nil
 }
 
-// release returns the communicator shell to the pool. Callers must
-// guarantee that no goroutine still holds a handle: the dispatcher
-// releases an attempt's group communicator only after every rank's share
-// returned, and never once the attempt context ended, when an abandoned
-// share may still be blocked on it. Children are not released recursively
-// — they simply become garbage with their parent's references dropped.
-func (s *commShared) release() {
-	for p := 0; p < 2; p++ {
-		for i := range s.fslots[p] {
-			putScratch(s.fslots[p][i].buf)
-			s.fslots[p][i] = fslot{}
-		}
-		for i := range s.aslots[p] {
-			s.aslots[p][i].v = nil
-		}
+// fit returns s resized to length n, reallocating only when the capacity
+// is insufficient.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	s.stats = nil
-	s.rec = nil
-	s.ranks = nil
-	s.splits = nil
-	s.children = nil
-	commPool.Put(s)
+	return s[:n]
 }
 
 // abort poisons the communicator and, recursively, every communicator that
@@ -483,7 +422,7 @@ func (c *Comm) AllgatherAsInto(contrib, dst []float64, op Op) []float64 {
 	sh := c.shared
 	if len(sh.ranks) == 1 {
 		sh.bar.check()
-		dst = ensureFloats(dst, len(contrib))
+		dst = fit(dst, len(contrib))
 		copy(dst, contrib)
 		return dst
 	}
@@ -495,7 +434,7 @@ func (c *Comm) AllgatherAsInto(contrib, dst []float64, op Op) []float64 {
 	for i := range slots {
 		total += len(slots[i].cur)
 	}
-	dst = ensureFloats(dst, total)
+	dst = fit(dst, total)
 	off := 0
 	for i := range slots {
 		off += copy(dst[off:], slots[i].cur)
@@ -563,15 +502,6 @@ func (c *Comm) AllreduceSum(v float64) float64 {
 		sum += slots[i].v
 	}
 	return sum
-}
-
-// ensureFloats returns dst resized to length n, reallocating only when the
-// capacity is insufficient.
-func ensureFloats(dst []float64, n int) []float64 {
-	if cap(dst) < n {
-		return make([]float64, n)
-	}
-	return dst[:n]
 }
 
 // Split partitions the communicator like MPI_Comm_split: members calling

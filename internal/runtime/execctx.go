@@ -132,8 +132,8 @@ const defaultAbandonGrace = time.Second
 //   - recovers panics in task bodies into errors with stack capture
 //     (a panicking body never crashes the process);
 //   - aborts the group communicator of a failed, panicked or timed-out
-//     task so its peers cannot deadlock at a collective — every attempt
-//     runs on a fresh group communicator;
+//     task so its peers cannot deadlock at a collective — the attempt
+//     after a failed one runs on a new group communicator;
 //   - enforces the policy's per-attempt and per-layer timeouts, and
 //     observes the caller's ctx between attempts and through
 //     TaskCtx.Ctx (at once, like a timeout, when the policy sets a
@@ -151,8 +151,8 @@ const defaultAbandonGrace = time.Second
 // Task bodies must be idempotent: a body can run more than once (retry,
 // or re-execution of a partially completed layer after a replan) and must
 // produce the same outputs given the same completed predecessor layers.
-// A body communicates only through its group communicator, which is fresh
-// per attempt, so retries are always safe.
+// A body communicates only through its group communicator, which is new
+// for every retry, so retries are always safe.
 //
 // The returned Report is valid (and populated) even when the execution
 // fails. The schedule may use at most w.P cores; replanned schedules use
@@ -372,7 +372,10 @@ func (wk *wfWorker) runScheduledTask(td *core.TaskDeps) (error, bool) {
 	tstart := rep.since()
 	for _, src := range srcs {
 		t := d.sched.Source.Task(src)
-		name := cfg.prefix + t.Name // "" + name does not allocate
+		name := t.Name
+		if cfg.prefix != "" { // a top-level name costs no concatenation call
+			name = cfg.prefix + t.Name
+		}
 		fn := d.body(t)
 		if fn == nil {
 			return fmt.Errorf("runtime: no body for task %q", name), false

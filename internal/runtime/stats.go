@@ -10,10 +10,11 @@ const (
 )
 
 // Stats counts collective operations by communicator kind and operation.
-// Each collective is counted once (not once per participating core). The
-// counters are a fixed [kinds][ops] array of atomic.Int64, so recording an
-// operation is one uncontended atomic increment instead of a global mutex
-// acquisition plus a map lookup.
+// Each collective is counted once (not once per participating core), by
+// the communicator's rank 0. The counters are a fixed [kinds][ops] array of
+// atomic.Int64, so recording an operation is one atomic increment instead
+// of a global mutex acquisition plus a map lookup. A dispatched group
+// communicator counts into its leader worker's Stats (wfStats.add).
 type Stats struct {
 	counts [numCommKinds][numOps]atomic.Int64
 }
@@ -24,6 +25,18 @@ func (s *Stats) add(kind CommKind, op Op) {
 		return
 	}
 	s.counts[kind][op].Add(1)
+}
+
+// addAll adds the counts of from to s; the sum is exact once no
+// collective counts into from any more.
+func (s *Stats) addAll(from *Stats) {
+	for k := range from.counts {
+		for o := range from.counts[k] {
+			if n := from.counts[k][o].Load(); n != 0 {
+				s.counts[k][o].Add(n)
+			}
+		}
+	}
 }
 
 // Count returns the number of recorded collectives of the given kind/op.

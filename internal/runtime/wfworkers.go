@@ -146,7 +146,7 @@ type wfWorker struct {
 	curTask atomic.Int64
 	seq     atomic.Uint64
 	pending atomic.Int32 // followers that have not finished the published attempt
-	gsh     *commShared
+	gsh     *commShared  // kept past a successful attempt for the next (groupComm)
 	fn      TaskFunc
 	src     *graph.Task
 	name    string
@@ -166,10 +166,12 @@ type wfWorker struct {
 
 	// busy sums the core-time of the successful attempts this worker led
 	// and log holds their spans (none in a lean Report) until the pass
-	// folds both into the Report; the pad keeps them off the next worker.
-	busy time.Duration
-	log  []TaskSpan
-	_    [64]byte
+	// folds both into the Report; stats counts the collectives of the
+	// communicators it leads. The pad keeps them off the next worker.
+	busy  time.Duration
+	log   []TaskSpan
+	stats Stats
+	_     [64]byte
 }
 
 // newDispatcher builds the dispatcher of sched resuming at layer from:
@@ -311,9 +313,7 @@ func (d *wfDispatcher) fold() {
 func (wk *wfWorker) run() {
 	d := wk.d
 	defer d.wg.Done()
-	if d.deadline {
-		growStack()
-	}
+	growStack()
 	chain := d.prec.Chains[wk.rank]
 	for ; wk.next < len(chain); wk.next++ {
 		td := d.prec.Tasks[chain[wk.next]]
@@ -332,12 +332,13 @@ func (wk *wfWorker) run() {
 }
 
 // growStack grows a fresh worker's stack while it holds two frames. A
-// deadline-bound attempt arms a runtime timer (context.WithTimeout) a
-// dozen frames deep, past the stack a goroutine starts with, and growing
-// the stack there copies those frames — twice the cost, paid by every
-// leading worker of every pass, so about once per task in a layered
-// pass. Workers that persist across passes (ROADMAP item 1(d)) would
-// pay it once per execution instead.
+// leading worker's attempt runs a dozen frames deep — the body under
+// runRankAttempt's deferred recovery, and under a deadline
+// context.WithTimeout arming a runtime timer — past the stack a goroutine
+// starts with, and growing the stack there copies those frames: twice the
+// cost, paid by every leading worker of every pass, so about once per
+// task in a layered pass. Workers that persist across passes (ROADMAP
+// item 1(d)) would pay it once per execution instead.
 //
 //go:noinline
 func growStack() {
@@ -416,15 +417,15 @@ func (wk *wfWorker) follow(td *core.TaskDeps) {
 }
 
 // coopAttempt runs one attempt of one source task on the workers of the
-// group's interval: the leader builds a fresh pooled group communicator
-// over ranks[lo:hi] (and, under a deadline, the attempt context),
+// group's interval: the leader takes its group communicator over
+// ranks[lo:hi] (groupComm) and, under a deadline, the attempt context,
 // publishes the attempt to its followers, runs its own rank-0 share,
 // waits for the followers and settles.
 func (wk *wfWorker) coopAttempt(t *graph.Task, name string, fn TaskFunc, attempt int, td *core.TaskDeps) error {
 	d := wk.d
 	lo, hi := td.Lo, td.Hi
 	size := hi - lo
-	gsh := newCommShared(Group, d.ranks[lo:hi], &d.w.Stats, d.cfg.rec, d.cfg.spin)
+	gsh := wk.groupComm(hi)
 	var actx context.Context
 	var cancel context.CancelFunc
 	if d.deadline {
@@ -463,22 +464,40 @@ func (wk *wfWorker) coopAttempt(t *graph.Task, name string, fn TaskFunc, attempt
 	}
 	if size > 1 {
 		// Every follower has run this publication and reported back;
-		// retract the id before releasing the communicator so curTask != -1
+		// retract the id before the communicator is reused so curTask != -1
 		// always means "publication live" (a late re-check between the
 		// drain and this store matches lastSeq and parks harmlessly).
 		wk.curTask.Store(-1)
 	}
 	err := settleAttempt(name, d.rep, wk.errs[:size])
-	if actx == nil || actx.Err() == nil {
-		// Every share returned: no rank holds the comm anymore. Once the
-		// attempt context ended a share may have been abandoned, still
-		// holding it, so the communicator is left to the collector.
-		gsh.release()
+	if err != nil || actx != nil && actx.Err() != nil || gsh.bar.poison.Load() != nil {
+		// A failed attempt aborted the communicator, and once the attempt
+		// context ended an abandoned share may still hold it.
+		wk.gsh = nil
 	}
 	if cancel != nil {
 		cancel()
 	}
 	return err
+}
+
+// groupComm returns the leader's group communicator for an attempt on
+// [rank, hi): a new one first and after a failed attempt, else that of
+// the last attempt, whose shares all returned. On the same interval it is
+// reused as is — its members left with equal sequence numbers and barrier
+// generations, so slot parities and flags carry on — on another it is
+// reset in place; split children of the last attempt are dropped.
+func (wk *wfWorker) groupComm(hi int) *commShared {
+	d, gsh := wk.d, wk.gsh
+	switch {
+	case gsh == nil:
+		return newCommShared(Group, d.ranks[wk.rank:hi], &wk.stats, d.cfg.rec, d.cfg.spin)
+	case len(gsh.ranks) != hi-wk.rank:
+		gsh.reset(Group, d.ranks[wk.rank:hi], &wk.stats, d.cfg.rec, d.cfg.spin)
+	case gsh.children != nil:
+		gsh.splits, gsh.children = nil, nil
+	}
+	return gsh
 }
 
 // rankShare is one rank's share of an attempt: its TaskCtx and the
@@ -658,7 +677,9 @@ func (d *wfDispatcher) noteReady() {
 
 // wfStats totals the dispatch metrics of one execution over the
 // dispatchers it built (one per schedule: the initial one plus one per
-// replan or resize).
+// replan or resize), and folds its workers' collective counts into the
+// World's Stats after its last pass (an abandoned share's later ones are
+// lost).
 type wfStats struct{ wakeups, chainLaunches, peakReady int64 }
 
 func (s *wfStats) add(d *wfDispatcher) {
@@ -666,8 +687,10 @@ func (s *wfStats) add(d *wfDispatcher) {
 		return
 	}
 	for r := range d.workers {
-		s.wakeups += d.workers[r].wakeups
-		s.chainLaunches += d.workers[r].chainLaunches
+		wk := &d.workers[r]
+		s.wakeups += wk.wakeups
+		s.chainLaunches += wk.chainLaunches
+		d.w.Stats.addAll(&wk.stats)
 	}
 	if pk := d.peakReady.Load(); pk > s.peakReady {
 		s.peakReady = pk

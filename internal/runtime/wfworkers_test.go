@@ -331,7 +331,7 @@ func TestWorkersStalePublicationRace(t *testing.T) {
 	// seq != lastSeq already true. If the task id were published before
 	// the attempt's fields and seq bump, rank 2 could observe the id,
 	// pass the seq check against the stale value and run the previous
-	// task's publication — a released pooled communicator, the wrong
+	// task's publication — the previous attempt's communicator, the wrong
 	// body, and a spurious pending decrement. Alternating {[0,2),[2,3)}
 	// and {[0,3)} layers re-arm that window every round; the barrier in
 	// each body makes a stale run collide instead of passing silently,
