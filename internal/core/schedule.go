@@ -60,18 +60,6 @@ func (ls *LayerSchedule) GroupOfRank(rank int) GroupID {
 	return -1
 }
 
-// RankRange returns the half-open symbolic core range [lo, hi) occupied by
-// group gi (groups occupy consecutive rank blocks in group order).
-func (ls *LayerSchedule) RankRange(gi GroupID) (lo, hi int) {
-	for g, sz := range ls.Sizes {
-		if GroupID(g) == gi {
-			return lo, lo + sz
-		}
-		lo += sz
-	}
-	return lo, lo
-}
-
 // GroupOf returns the group index executing the given task, or -1.
 func (ls *LayerSchedule) GroupOf(id graph.TaskID) GroupID {
 	for gi, tasks := range ls.Groups {

@@ -242,7 +242,7 @@ func solverGraphs(n, steps int) []*graph.Graph {
 	}
 }
 
-// execModes are the two pass widths of the dispatcher.
+// execModes are the two execution modes of the dispatcher.
 var execModes = []struct {
 	name string
 	opts []runtime.ExecOption

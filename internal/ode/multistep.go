@@ -1,7 +1,5 @@
 package ode
 
-import "fmt"
-
 // PABIntegrator integrates an ODE system with the Parallel
 // Adams-Bashforth method (PAB, Corrector == 0) or the Parallel
 // Adams-Bashforth-Moulton method (PABM, Corrector == m > 0). One time step
@@ -116,12 +114,4 @@ func (p *PABIntegrator) Integrate(steps int) {
 	for s := 0; s < steps; s++ {
 		p.Step()
 	}
-}
-
-// MethodName returns "PAB(K=..)" or "PABM(K=..,m=..)".
-func (p *PABIntegrator) MethodName() string {
-	if p.Corrector > 0 {
-		return fmt.Sprintf("PABM(K=%d,m=%d)", p.Coeffs.K, p.Corrector)
-	}
-	return fmt.Sprintf("PAB(K=%d)", p.Coeffs.K)
 }

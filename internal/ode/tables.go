@@ -56,35 +56,6 @@ func IRKCountsTP(k, m, q int) OpCounts {
 	}
 }
 
-// DIIRKCountsDP returns the per-step counts of the data-parallel DIIRK
-// version given the iteration count i of the step: 1 global
-// multi-broadcast plus, per iteration and stage, n pivot broadcasts of the
-// row-distributed Gauss-Jordan solve and one multi-broadcast replicating
-// the stage update. The paper's row is 1*Tag + K*(n-1)*I*Tbc: the
-// difference (n vs n-1 broadcasts, and the extra K*I*Tag for the update
-// replication) is an accounting difference of the linear solver variant,
-// recorded in EXPERIMENTS.md.
-func DIIRKCountsDP(k, n, i int) OpCounts {
-	return OpCounts{
-		GlobalTag: 1 + k*i,
-		GlobalTbc: k * n * i,
-	}
-}
-
-// DIIRKCountsTP returns the per-step counts of the task-parallel DIIRK
-// version with K groups of q cores and iteration count i: 1 global
-// multi-broadcast, per group n*i pivot broadcasts (paper: (n-1)*I) plus i
-// argument-assembly multi-broadcasts, and i orthogonal multi-broadcasts
-// per set (the paper's ortho column for DIIRK, with I iterations).
-func DIIRKCountsTP(k, n, q, i int) OpCounts {
-	return OpCounts{
-		GlobalTag: 1,
-		GroupTbc:  k * n * i,
-		GroupTag:  k * i,
-		OrthoTag:  q * i,
-	}
-}
-
 // PABCountsDP returns the per-step counts of the data-parallel PAB (m=0)
 // or PABM (m>0) version: K*(1+m) global multi-broadcasts (paper:
 // identical; K*Tag for PAB, K(1+m)*Tag for PABM).

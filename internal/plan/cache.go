@@ -133,9 +133,6 @@ func (c *ShardedCache) shardFor(k Key) *lru.Cache[Key, *core.Mapping] {
 	return c.shards[k.hash()&c.mask]
 }
 
-// ShardIndex returns the shard the key lives on (for tests and metrics).
-func (c *ShardedCache) ShardIndex(k Key) int { return int(k.hash() & c.mask) }
-
 // Get returns the cached mapping for the key, marking it most recently
 // used within its shard.
 func (c *ShardedCache) Get(k Key) (*core.Mapping, bool) {
@@ -172,9 +169,8 @@ func (c *ShardedCache) Stats() (hits, misses uint64) {
 	return hits, misses
 }
 
-// ShardStats returns the per-shard (entries, hits, misses) triples, index
-// aligned with ShardIndex — the raw material of the serve-layer cache
-// metrics.
+// ShardStats returns the per-shard (entries, hits, misses) triples, in
+// shard order — the raw material of the serve-layer cache metrics.
 func (c *ShardedCache) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(c.shards))
 	for i := range c.shards {

@@ -35,8 +35,8 @@ func BenchmarkExecLayeredImbalanced(b *testing.B)   { benchImbalanced(b) }
 func BenchmarkExecWavefrontImbalanced(b *testing.B) { benchImbalanced(b, WithWavefront()) }
 
 // The dispatch pair measures the dispatcher's own overhead (counter
-// decrements, wakeups, one pass per layer or one in all) with no-op
-// bodies on a balanced schedule.
+// decrements, wakeups and, in layered mode, one barrier per layer) with
+// no-op bodies on a balanced schedule.
 func benchDispatchOverhead(b *testing.B, opts ...ExecOption) {
 	sched := ImbalancedWorkload(2, 16)
 	body := ImbalancedBody(0, 0)

@@ -28,10 +28,11 @@ type Replanner func(ctx context.Context, survivors int) (*core.Schedule, error)
 type HierarchicalReplanner func(ctx context.Context, survivors int) (*core.HierarchicalSchedule, error)
 
 // Resizer makes a running execution malleable: layered execution
-// consults it at every completed layer barrier (the same checkpoints that
-// make degrade-and-replan sound) with the number of completed layers. A
-// nil schedule means "keep the current one"; a non-nil schedule replaces
-// it and the remaining layers run on the new core count — growing or
+// consults it at every interior layer barrier (the same checkpoints that
+// make degrade-and-replan sound) with the number of completed layers,
+// before the next layer opens, so no body runs during the call. A nil
+// schedule means "keep the current one"; a non-nil schedule replaces it
+// and the remaining layers run on the new core count — growing or
 // shrinking the execution. The returned schedule must preserve the layer
 // partition (verified with core.SameLayering) and use at most the world's
 // cores. The machine-level job allocator uses this to grow and shrink
@@ -39,9 +40,11 @@ type HierarchicalReplanner func(ctx context.Context, survivors int) (*core.Hiera
 // PlanPartition for the standard way to produce the resized schedule.
 type Resizer func(ctx context.Context, completedLayers int) (*core.Schedule, error)
 
-// ErrResizeInWavefront reports WithResizer combined with WithWavefront:
-// a wavefront pass runs every remaining layer without barriers, so there
-// is no boundary at which a resize could apply — wavefront executions are
+// ErrResizeInWavefront reports WithResizer combined with WithWavefront. A
+// Resizer applies a shrink before it returns (the machine allocator hands
+// the cores to another job at once), and a wavefront execution, with
+// later-layer tasks in flight at every boundary, would drain them on
+// cores that already belong to another job. Wavefront executions are
 // moldable (core count fixed at start), not malleable.
 var ErrResizeInWavefront = errors.New("runtime: WithResizer requires layered execution (wavefront runs are moldable, not malleable)")
 
@@ -197,7 +200,7 @@ func ExecuteHierarchicalCtx(ctx context.Context, w *World, hs *core.Hierarchical
 	cfg := newExecConfig(opts)
 	rep := NewReport()
 	// The composed bodies follow the hierarchy in force; replans happen
-	// between passes, when no leader is resolving a body.
+	// between dispatchers, when no leader is resolving a body.
 	bodies := composedBodies(hs, body, iterations, w, cfg, rep)
 	wrapped := func(t *graph.Task) TaskFunc { return bodies(t) }
 	resched := func(rctx context.Context, survivors int) (*core.Schedule, error) {
@@ -239,11 +242,11 @@ func newExecConfig(opts []ExecOption) *execConfig {
 	return cfg
 }
 
-// runLayered drives the dispatcher over the schedule with resizes and
-// degrade-and-replan between passes: layered execution runs one pass per
-// layer, wavefront execution one pass over every remaining layer. The
-// completed-layer prefix a pass returns is the checkpoint that survives a
-// replan.
+// runLayered runs the schedule as one dispatcher pass, in either mode,
+// and drives what happens between dispatchers: a resize applied at a
+// layer boundary, and a degrade-and-replan after an exhausted failure.
+// Both rebuild the dispatcher at the completed-layer prefix the pass
+// returned — the checkpoint that survives them.
 func runLayered(ctx context.Context, w *World, sched *core.Schedule, body func(t *graph.Task) TaskFunc,
 	cfg *execConfig, rep *Report, resched Replanner) error {
 
@@ -263,54 +266,32 @@ func runLayered(ctx context.Context, w *World, sched *core.Schedule, body func(t
 	base := sched.P // survivor accounting resets on voluntary resizes
 	lost := 0
 	li := 0
-	var d *wfDispatcher // of cur; nil until built, and again when cur changes
-	var stats wfStats
-	defer func() {
-		stats.add(d)
-		stats.flush(cfg.rec)
-	}()
 	for li < len(cur.Layers) {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("runtime: execution canceled before layer %d: %w", li, err)
-		}
-		if d == nil {
-			var err error
-			if d, err = newDispatcher(w, cur, li, body, cfg, rep, attempts); err != nil {
-				return err
-			}
-		}
-		to := li + 1 // joining a one-layer pass is the layer barrier
-		if cfg.wavefront {
-			to = len(cur.Layers)
+		d, err := newDispatcher(w, cur, li, body, cfg, rep, attempts)
+		if err != nil {
+			return err
 		}
 		var layerErr error
 		var failedCores int
-		li, layerErr, failedCores = d.pass(ctx, to)
+		li, layerErr, failedCores = d.pass(ctx)
 		if layerErr == nil {
-			if cfg.resize == nil || li == len(cur.Layers) {
+			ns := d.resized
+			if ns == nil {
 				continue
 			}
-			ns, rerr := cfg.resize(ctx, li)
-			if rerr != nil {
-				return fmt.Errorf("runtime: resize at layer barrier %d: %w", li, rerr)
+			if ns.P > w.P {
+				return fmt.Errorf("runtime: resized schedule needs %d cores, world has %d", ns.P, w.P)
 			}
-			if ns != nil && ns != cur {
-				if ns.P > w.P {
-					return fmt.Errorf("runtime: resized schedule needs %d cores, world has %d", ns.P, w.P)
-				}
-				if serr := core.SameLayering(cur, ns); serr != nil {
-					return fmt.Errorf("runtime: resize at layer barrier %d: %w", li, serr)
-				}
-				delta := ns.P - cur.P
-				rep.resized(delta)
-				cfg.rec.Instant(fmt.Sprintf("resize:%+d", delta), "exec", obs.ControlRank, cfg.rec.Now())
-				cfg.rec.Counter("exec.resizes").Add(1)
-				cur = ns // remaining layers run on the new core count
-				base = ns.P
-				lost = 0
-				stats.add(d)
-				d = nil
+			if serr := core.SameLayering(cur, ns); serr != nil {
+				return fmt.Errorf("runtime: resize at layer barrier %d: %w", li, serr)
 			}
+			delta := ns.P - cur.P
+			rep.resized(delta)
+			cfg.rec.Instant(fmt.Sprintf("resize:%+d", delta), "exec", obs.ControlRank, cfg.rec.Now())
+			cfg.rec.Counter("exec.resizes").Add(1)
+			cur = ns // remaining layers run on the new core count
+			base = ns.P
+			lost = 0
 			continue
 		}
 		if !cfg.policy.DegradeAndReplan || failedCores == 0 || ctx.Err() != nil {
@@ -339,8 +320,6 @@ func runLayered(ctx context.Context, w *World, sched *core.Schedule, body func(t
 		cfg.rec.Instant("replan", "fault", obs.ControlRank, cfg.rec.Now())
 		cfg.rec.Counter("fault.lost_cores").Add(int64(failedCores))
 		cur = ns // resume from the last completed layer barrier
-		stats.add(d)
-		d = nil
 	}
 	return nil
 }

@@ -233,34 +233,104 @@ func TestExecuteCtxTaskTimeoutUnblocksBarrier(t *testing.T) {
 }
 
 func TestExecuteCtxLayerTimeout(t *testing.T) {
-	// The layer timeout bounds a whole layer; its expiry cancels the
-	// attempts but is not a core failure, so no replan happens.
+	// The layer timeout bounds each layer on its own: a deadline armed
+	// when the layer opens, which its bodies see as TaskCtx.Ctx. Its
+	// expiry cancels the attempts but is not a core failure, so no replan
+	// happens, and the layers before the overrun keep their spans.
+	const lt = 200 * time.Millisecond
 	g := graph.New("one")
 	g.AddTask(&graph.Task{Name: "slow", Kind: graph.KindBasic, Work: 1})
 	model := &cost.Model{Machine: arch.CHiC().Subset(1)}
-	sched, err := (&core.Scheduler{Model: model}).Schedule(g, 2)
+	one, err := (&core.Scheduler{Model: model}).Schedule(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, _ := NewWorld(2)
-	pol := fault.Policy{LayerTimeout: 50 * time.Millisecond, MaxRetries: 3, DegradeAndReplan: true}
-	rep, err := ExecuteCtx(context.Background(), w, sched, func(task *graph.Task) TaskFunc {
-		return func(tc *TaskCtx) error {
-			select {
-			case <-tc.Ctx.Done():
-				return tc.Ctx.Err()
-			case <-time.After(10 * time.Second):
+	three := gridSchedule(2, 3, 1) // 3 layers of 2 one-rank groups
+	// Every body records its layer's deadline and takes its layer's time,
+	// or hangs until its attempt context ends when that time is 0.
+	type layerDeadline struct {
+		layer int
+		at    time.Time
+	}
+	for _, tc := range []struct {
+		name      string
+		sched     *core.Schedule
+		take      func(layer int) time.Duration // 0: until the deadline
+		overrun   int                           // the layer that overruns; -1 for none
+		wantSpans int
+	}{
+		{"single layer overruns", one, func(int) time.Duration { return 0 }, 0, 0},
+		// A run-wide deadline would expire in layer 1.
+		{"every layer has its own budget", three, func(int) time.Duration { return lt * 6 / 10 }, -1, 6},
+		{"layer 2 overruns", three, func(li int) time.Duration {
+			if li == 2 {
+				return 0
 			}
-			return nil
+			return time.Millisecond
+		}, 2, 4},
+	} {
+		var mu sync.Mutex
+		var deadlines []layerDeadline
+		pol := fault.Policy{LayerTimeout: lt, MaxRetries: 3, DegradeAndReplan: true}
+		w, _ := NewWorld(2)
+		rep, err := ExecuteCtx(context.Background(), w, tc.sched, func(task *graph.Task) TaskFunc {
+			return func(ctx *TaskCtx) error {
+				if at, ok := ctx.Ctx.Deadline(); ok {
+					mu.Lock()
+					deadlines = append(deadlines, layerDeadline{ctx.Layer, at})
+					mu.Unlock()
+				}
+				var after <-chan time.Time
+				if d := tc.take(ctx.Layer); d > 0 {
+					after = time.After(d)
+				}
+				select {
+				case <-ctx.Ctx.Done():
+					return ctx.Ctx.Err()
+				case <-after:
+				}
+				return nil
+			}
+		}, WithPolicy(pol))
+		if tc.overrun < 0 {
+			if err != nil {
+				t.Fatalf("%s: %v\n%s", tc.name, err, rep)
+			}
+		} else if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: layer timeout lost: %v", tc.name, err)
 		}
-	}, WithPolicy(pol))
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("layer timeout lost: %v", err)
+		if rep.Replans != 0 || rep.Retries != 0 {
+			t.Fatalf("%s: layer timeout escalated to a retry or replan: %s", tc.name, rep)
+		}
+		if len(rep.Spans) != tc.wantSpans {
+			t.Fatalf("%s: %d spans, want %d\n%s", tc.name, len(rep.Spans), tc.wantSpans, rep)
+		}
+		for _, sp := range rep.Spans {
+			if sp.Layer >= tc.overrun && tc.overrun >= 0 {
+				t.Fatalf("%s: span %+v at or past the overrun layer %d", tc.name, sp, tc.overrun)
+			}
+		}
+		if want := len(tc.sched.Layers); tc.overrun >= 0 {
+			if rep.Layers != tc.overrun {
+				t.Fatalf("%s: %d layers completed, want %d", tc.name, rep.Layers, tc.overrun)
+			}
+		} else if rep.Layers != want {
+			t.Fatalf("%s: %d layers completed, want %d", tc.name, rep.Layers, want)
+		}
+		// One deadline per layer, each later than the one before.
+		per := map[int]time.Time{}
+		for _, ld := range deadlines {
+			if at, ok := per[ld.layer]; ok && !at.Equal(ld.at) {
+				t.Fatalf("%s: layer %d bodies see two deadlines, %v and %v", tc.name, ld.layer, at, ld.at)
+			}
+			per[ld.layer] = ld.at
+		}
+		for li := 1; li < len(per); li++ {
+			if !per[li].After(per[li-1]) {
+				t.Fatalf("%s: layer %d deadline %v not after layer %d's %v", tc.name, li, per[li], li-1, per[li-1])
+			}
+		}
 	}
-	if rep.Replans != 0 {
-		t.Fatalf("layer timeout escalated to replan: %s", rep)
-	}
-	_ = rep
 }
 
 func TestExecuteCtxInjectedRetry(t *testing.T) {
@@ -336,7 +406,7 @@ func TestExecuteCtxCoreLossReplans(t *testing.T) {
 
 func TestReplanAttemptNumbersExact(t *testing.T) {
 	// Attempt numbers count every execution of a task, across a replan,
-	// in both pass widths and both retentions. c completes attempt 1
+	// in both modes and both retentions. c completes attempt 1
 	// beside b, whose scripted core loss replans the run; resuming at the
 	// layer-1 checkpoint runs c again as attempt 2, where the script fails
 	// it once, so its retry is attempt 3. b's followers hold its failed

@@ -17,8 +17,8 @@ var ErrNoSubSchedule = errors.New("runtime: no sub-schedule for composed task")
 // TaskCtx is the execution context handed to the SPMD body of an M-task:
 // the group communicator of the cores executing the task and the task
 // being executed. M-tasks cooperate only through their input-output
-// relations, so a body talks to its own group and to nobody else; every
-// pass — layered, wavefront, or inside a composed task — hands bodies the
+// relations, so a body talks to its own group and to nobody else; both
+// modes, at the top level and inside a composed task, hand bodies the
 // same context.
 type TaskCtx struct {
 	// Group is the communicator of the cores executing this task.
@@ -30,7 +30,8 @@ type TaskCtx struct {
 	Layer      int
 	GroupIndex int
 	// Ctx is the attempt context: it is canceled when the attempt times
-	// out or the execution is canceled.
+	// out (TaskTimeout, or its layer's LayerTimeout) or the execution is
+	// canceled.
 	Ctx context.Context
 }
 

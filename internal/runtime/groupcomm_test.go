@@ -74,7 +74,7 @@ func tallyBody(tally *collTally, failing string) func(*graph.Task) TaskFunc {
 func TestExecuteCtxCountsCollectivesExactly(t *testing.T) {
 	// Table 1's counts through the executor: every collective a body
 	// issues on a communicator's rank 0 is counted once in World.Stats —
-	// in both pass widths, flat and hierarchical (where the inner
+	// in both modes, flat and hierarchical (where the inner
 	// dispatchers count and fold too), without a deadline and under
 	// DefaultPolicy's (every share on its own goroutine), with one task
 	// failing once after its collectives and retried.
@@ -233,7 +233,7 @@ func TestGroupCommReuseMatchesReference(t *testing.T) {
 	// attempt before its body runs and a body failure aborts another
 	// between collectives, and both retries run on the same interval.
 	// Every rank's outputs must equal the sequential reference's bitwise,
-	// in both pass widths, with and without a policy deadline. Meant to
+	// in both modes, with and without a policy deadline. Meant to
 	// run under -race as well.
 	const layers = 24
 	sched := reuseSchedule(layers)

@@ -98,7 +98,7 @@ func innerSpans(t *testing.T, rep *Report, composed string, trip int) []TaskSpan
 
 func TestPropertyHierarchicalMatchesSequential(t *testing.T) {
 	// The differential property one level down: random inner DAGs inside
-	// a while node next to a sibling task, in both pass widths, with and
+	// a while node next to a sibling task, in both modes, with and
 	// without injected faults. Outputs must be bitwise identical to the
 	// sequential reference recursing into the composed task; the top-level
 	// spans and every trip's inner spans must each pass the execution
@@ -338,7 +338,7 @@ func TestHierarchicalComposedRetryContinuesInnerNumbering(t *testing.T) {
 	// inner tasks continue the attempt numbering of the failed attempt:
 	// iter[0]/step fails attempts 1 and 2, exhausting its retry and with
 	// it iter's first attempt, so iter's retry runs it as attempt 3 — in
-	// both pass widths and both retentions.
+	// both modes and both retentions.
 	hs := iterSchedule(t)
 	inj := &fault.Injector{Script: []fault.Script{
 		{Task: "iter[0]/step", Attempt: 1, Rank: 0, Kind: fault.Error},
@@ -375,7 +375,7 @@ func TestHierarchicalSharedComposedNames(t *testing.T) {
 	// loop[<trip>]/<inner>. Each body still numbers its own tasks'
 	// attempts: loop[1]/step@1 strikes the step of both bodies, and
 	// loop[0]/x@1 the one x. The shared entries sum their tasks' counts —
-	// in both pass widths and both retentions.
+	// in both modes and both retentions.
 	small := graph.New("small")
 	small.AddTask(&graph.Task{Name: "step", Kind: graph.KindBasic, Work: 1e5})
 	small.AddStartStop()

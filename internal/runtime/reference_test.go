@@ -44,7 +44,7 @@ func sequential(sched *core.Schedule, from, to int, body func(t *graph.Task) Tas
 	if err != nil {
 		return err
 	}
-	d.ctx, d.to = context.Background(), to
+	d.ctx = context.Background()
 	defer d.fold()
 	for _, id := range d.prec.Scheduled {
 		td := d.prec.Tasks[id]

@@ -64,8 +64,8 @@ type Report struct {
 
 	// Spans records one entry per successful task attempt, inner tasks of
 	// composed tasks included; timestamps are offsets from the start of
-	// the execution. They are grouped by pass and by the worker that led
-	// them, not in completion order across workers: use Timeline for a
+	// the execution. They are grouped by dispatcher and by the worker that
+	// led them, not in completion order across workers: use Timeline for a
 	// copy sorted by start time.
 	Spans []TaskSpan
 
@@ -83,7 +83,7 @@ type Report struct {
 	lean bool
 
 	// busy is the core-time of successful attempts, summed by the workers
-	// and folded in per pass (the Utilization numerator).
+	// and folded in per dispatcher (the Utilization numerator).
 	busy time.Duration
 
 	// budget is the core-time of the schedules that ran before the current

@@ -12,6 +12,7 @@ import (
 	"mtask/internal/arch"
 	"mtask/internal/core"
 	"mtask/internal/cost"
+	"mtask/internal/fault"
 	"mtask/internal/graph"
 )
 
@@ -95,6 +96,86 @@ func TestResizerGrowAndShrink(t *testing.T) {
 	}
 	if rep.Replans != 0 || rep.LostCores != 0 {
 		t.Fatalf("voluntary resizes must not count as replans: %s", rep)
+	}
+}
+
+func TestResizerConsultedOncePerBoundary(t *testing.T) {
+	// A resizer that keeps the schedule is consulted exactly once per
+	// interior layer boundary of the top level, in order, by the worker
+	// that closed the layer before the next one opens: no body is in
+	// flight at any consult, and it gets the run's context, not the
+	// closed layer's deadline. Inner trips of a composed task consult it
+	// never.
+	ladder := scheduleOn(t, ladderGraph("consult", 5), 8)
+	top := ladderGraph("consult-top", 3)
+	for _, task := range top.Tasks() {
+		if task.Name == "t1.0" {
+			task.Kind, task.Sub = graph.KindComposed, diamondGraph()
+		}
+	}
+	hs := scheduleHierarchical(t, top, 8)
+	for _, tc := range []struct {
+		name     string
+		layers   int
+		composed string // the composed task, whose second trip must have run
+		exec     func(body func(*graph.Task) TaskFunc, opts ...ExecOption) (*Report, error)
+	}{
+		{"flat", len(ladder.Layers), "", func(body func(*graph.Task) TaskFunc, opts ...ExecOption) (*Report, error) {
+			w, _ := NewWorld(8)
+			return ExecuteCtx(context.Background(), w, ladder, body, opts...)
+		}},
+		{"composed", len(hs.Top.Layers), "t1.0", func(body func(*graph.Task) TaskFunc, opts ...ExecOption) (*Report, error) {
+			w, _ := NewWorld(8)
+			return ExecuteHierarchicalCtx(context.Background(), w, hs, body, trips(2), opts...)
+		}},
+	} {
+		for _, pol := range []fault.Policy{{}, {LayerTimeout: time.Minute}} {
+			var inFlight atomic.Int32
+			var consults []int
+			var problems []string
+			rz := func(ctx context.Context, completed int) (*core.Schedule, error) {
+				consults = append(consults, completed)
+				if n := inFlight.Load(); n != 0 {
+					problems = append(problems, fmt.Sprintf("%d bodies in flight at boundary %d", n, completed))
+				}
+				if _, ok := ctx.Deadline(); ok {
+					problems = append(problems, fmt.Sprintf("boundary %d: resizer got a layer deadline", completed))
+				}
+				return nil, nil
+			}
+			body := func(*graph.Task) TaskFunc {
+				return func(tc *TaskCtx) error {
+					inFlight.Add(1)
+					defer inFlight.Add(-1)
+					time.Sleep(200 * time.Microsecond)
+					tc.Group.Barrier()
+					return nil
+				}
+			}
+			rep, err := tc.exec(body, WithResizer(rz), WithPolicy(pol))
+			if err != nil {
+				t.Fatalf("%s, layer timeout %v: %v\n%s", tc.name, pol.LayerTimeout, err, rep)
+			}
+			if tc.layers < 3 {
+				t.Fatalf("%s: %d top-level layers, want at least 3", tc.name, tc.layers)
+			}
+			want := make([]int, 0, tc.layers-1)
+			for li := 1; li < tc.layers; li++ {
+				want = append(want, li)
+			}
+			if fmt.Sprint(consults) != fmt.Sprint(want) {
+				t.Fatalf("%s, layer timeout %v: consulted at %v, want %v", tc.name, pol.LayerTimeout, consults, want)
+			}
+			if len(problems) > 0 {
+				t.Fatalf("%s, layer timeout %v: %s", tc.name, pol.LayerTimeout, strings.Join(problems, "; "))
+			}
+			if tc.composed != "" && len(innerSpans(t, rep, tc.composed, 1)) != len(diamondGraph().Tasks()) {
+				t.Fatalf("%s: the composed task's second trip did not run every inner task\n%s", tc.name, rep)
+			}
+			if rep.Resizes != 0 || rep.Layers != tc.layers {
+				t.Fatalf("%s, layer timeout %v: %d resizes, %d layers; want 0 and %d", tc.name, pol.LayerTimeout, rep.Resizes, rep.Layers, tc.layers)
+			}
+		}
 	}
 }
 

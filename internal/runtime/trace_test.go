@@ -73,8 +73,9 @@ func TestExecuteCtxTrace(t *testing.T) {
 		t.Errorf("trace dropped %d events", rec.Drops())
 	}
 	// Layered runs report the dispatch metrics too: every task is launched
-	// by its leader's own chain step (a one-layer pass never parks a
-	// leader), and the launch backlog peaks at the two tasks of a layer.
+	// by its leader's own chain step (a leader waits only at the layer
+	// barrier, which is not a park), and the launch backlog peaks at the
+	// two tasks of a layer.
 	m := rec.Metrics()
 	if m["exec.wf.chain_launches"] != 2*layers || m["exec.wf.peak_ready"] != 2 {
 		t.Errorf("exec.wf.chain_launches = %d, exec.wf.peak_ready = %d; want %d and 2",

@@ -3,26 +3,21 @@ package runtime
 // WithWavefront switches ExecuteCtx / ExecuteHierarchicalCtx from
 // layer-synchronous execution to dependence-driven (wavefront) execution.
 //
-// Both modes run the same dispatcher; they differ in the width of its
-// passes. Layered execution runs one pass per layer, so every group of a
-// layer is joined before any task of the next layer may start and one
-// slow group idles all P cores even when successor tasks' inputs are
-// complete and their ranks are free. The layer barrier is a scheduling
-// artifact, not a data dependence: wavefront execution runs all layers in
-// one pass, launching a task as soon as (a) all of its predecessors in
-// the scheduled graph have completed and (b) every symbolic rank of its
-// group's interval has been released by its prior-layer occupant (the
-// precomputed core.PrecedenceOf metadata encodes both conditions as one
-// counter per task). Results are bitwise identical: the same task bodies
-// run on the same group intervals with the same group collectives; only
-// the launch times change.
+// Both modes run the same dispatcher, one pass of P persistent workers;
+// they differ in one launch condition. Layered execution opens a layer
+// only once every task of the layers before it has completed, so one slow
+// group idles all P cores even when successor tasks' inputs are complete
+// and their ranks are free. That barrier is a scheduling artifact, not a
+// data dependence: wavefront execution opens every layer at the start and
+// launches a task as soon as (a) its predecessors in the scheduled graph
+// have completed and (b) its group's ranks have been released by their
+// prior-layer occupants (one core.PrecedenceOf counter per task). Results
+// are bitwise identical; only the launch times change.
 //
 // Bodies see the same TaskCtx in both modes, and per-task fault handling
 // is the same — retries with backoff, panic isolation, per-attempt
-// timeouts and abort poisoning. One difference follows from the missing
-// layer scope: fault.Policy.LayerTimeout is ignored, as there is no
-// per-layer scope to attach the deadline to. TaskTimeout still applies
-// per attempt.
+// timeouts and abort poisoning. fault.Policy.LayerTimeout is ignored, as
+// there is no layer scope to attach it to; TaskTimeout still applies.
 //
 // Degrade-and-replan keeps its checkpoint semantics: on an exhausted
 // failure the dispatcher stops launching, drains the in-flight frontier,

@@ -129,7 +129,7 @@ func compareBitwise(t *testing.T, want, got map[string]float64) {
 }
 
 func TestPropertyWavefrontMatchesLayered(t *testing.T) {
-	// The equivalence property of the two pass widths: on the same
+	// The equivalence property of the two execution modes: on the same
 	// schedule, dependence-driven launch must produce bitwise identical
 	// results to layer-synchronous execution, and both to the sequential
 	// reference interpreter, for random DAGs and varying core counts.

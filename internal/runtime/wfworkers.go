@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,11 +27,9 @@ const (
 // precomputed occupancy chains and coordinate through atomic dependence
 // counters — there is no central coordinator and no channel on the
 // completion hot path. It is built once per schedule (again after a
-// replan or resize) and run in passes over a layer range [done, to):
-// layered execution is one pass per layer (joining the workers is the
-// layer barrier), wavefront execution one pass over every remaining
-// layer. Counters, task states and the workers' chain cursors persist
-// between passes, so a pass costs O(tasks in its range + P).
+// replan or resize) and runs one pass over every remaining layer. In
+// layered execution the layer barrier is one more launch condition: no
+// task starts before its layer opens (openLayer).
 //
 // Ownership of the counters is what makes the lock-free scheme sound:
 //
@@ -47,7 +45,7 @@ const (
 //   - layerLeft[li] is decremented once per completed task of layer li;
 //     whoever decrements it to zero advances the completed-layer prefix
 //     under doneMu (the only lock, taken once per layer completion, not
-//     per task).
+//     per task) and, in a layered pass, opens the next layer.
 //   - attempts[src] is incremented only by the leader of the task that
 //     runs src, once per attempt; attempts of one task are sequential.
 //
@@ -64,7 +62,7 @@ const (
 // fails the attempt, which aborts the group communicator and releases any
 // peers blocked in collectives); a body that ignores it runs to
 // completion first. When the policy sets a deadline that applies to the
-// pass, every share runs on a goroutine its worker waits for: once the
+// attempts, every share runs on a goroutine its worker waits for: once the
 // attempt context ends the worker aborts the group communicator and,
 // past the abandon grace, abandons a share that still runs.
 type wfDispatcher struct {
@@ -86,10 +84,21 @@ type wfDispatcher struct {
 	// be abandonable, so each runs on a goroutine its worker waits for.
 	deadline bool
 
-	// The current pass: its context and the end of its layer range.
-	ctx context.Context
-	to  int
-	wg  sync.WaitGroup
+	// runCtx is the pass's context, ctx that of the open layer's attempts:
+	// runCtx, or a layered pass's LayerTimeout deadline (cancel ends it).
+	// openLayer writes ctx before it publishes the layer in open.
+	runCtx context.Context
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+
+	// Tasks of layers up to open may start, none of layers from stop on
+	// (set by a failure, or by openLayer ending the pass at a boundary
+	// with the resizer's schedule in resized or the error in haltErr).
+	open    atomic.Int32
+	stop    atomic.Int32
+	resized *core.Schedule
+	haltErr error
 
 	attempts  []atomic.Int32  // per source task: the level's attempt counters
 	remaining []atomic.Int32  // per task: outstanding dependences
@@ -99,17 +108,18 @@ type wfDispatcher struct {
 	doneMu sync.Mutex
 	done   int // completed-layer prefix (the replan checkpoint)
 
-	failing atomic.Bool
-	errMu   sync.Mutex
-	errs    []wfTaskError
-	lost    []uint64 // bitset of symbolic ranks owned by exhausted groups
+	errMu sync.Mutex
+	errs  []wfTaskError
+	lost  []uint64 // bitset of symbolic ranks owned by exhausted groups
 
 	workers []wfWorker
 
 	// ready/peakReady gauge the launch backlog: tasks whose dependences
 	// have drained but whose leader has not started them yet (under
 	// layered execution that includes next-layer tasks held back by the
-	// barrier).
+	// barrier). The pad keeps these per-task writes off the line of the
+	// workers slice, which every wake reads.
+	_         [64]byte
 	ready     atomic.Int64
 	peakReady atomic.Int64
 }
@@ -120,9 +130,10 @@ type wfTaskError struct {
 	err error
 }
 
-// wfWorker is the worker of one symbolic rank. At most one goroutine runs
-// wfWorker.run at a time (one per pass); the publication fields are read
-// by follower workers with the seq atomic as the synchronization edge.
+// wfWorker is the worker of one symbolic rank. One goroutine runs
+// wfWorker.run for the whole pass (rank 0's is the pass's caller); the
+// publication fields are read by follower workers with the seq atomic as
+// the synchronization edge.
 type wfWorker struct {
 	d    *wfDispatcher
 	rank int
@@ -202,6 +213,10 @@ func newDispatcher(w *World, sched *core.Schedule, from int, body func(t *graph.
 		workers:   make([]wfWorker, sched.P),
 		done:      from,
 	}
+	d.stop.Store(math.MaxInt32)
+	if cfg.wavefront {
+		d.open.Store(math.MaxInt32) // every layer is open from the start
+	}
 	for li := from; li < len(sched.Layers); li++ {
 		d.layerLeft[li].Store(int32(prec.LayerCounts[li]))
 	}
@@ -239,39 +254,44 @@ func newDispatcher(w *World, sched *core.Schedule, from int, body func(t *graph.
 	return d, nil
 }
 
-// pass runs the layers [done, to) under ctx and returns the new
+// pass runs every remaining layer under ctx and returns the new
 // completed-layer prefix — the checkpoint a degrade-and-replan resumes
 // from — with the joined task failures and the number of distinct
-// symbolic cores owned by groups that exhausted their retries.
+// symbolic cores owned by groups that exhausted their retries. A pass
+// that a resizer ended returns with d.resized set.
 //
 // A wavefront pass stops launching on the first failure and drains the
 // in-flight frontier (completions during the drain still advance the
-// checkpoint). A layered pass lets every group run to its own end, so its
-// fault accounting does not depend on timing, and it is bounded by the
-// policy's LayerTimeout. Bodies see the same TaskCtx in every pass: a
-// layered or wavefront pass, at the top level or inside a composed task.
-func (d *wfDispatcher) pass(ctx context.Context, to int) (done int, err error, failedCores int) {
-	if lt := d.cfg.policy.LayerTimeout; lt > 0 && !d.cfg.wavefront {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, lt)
-		defer cancel()
+// checkpoint). A layered pass lets every group of the failed layer run to
+// its own end and opens no later layer, so its fault accounting does not
+// depend on timing; each of its layers is bounded by the policy's
+// LayerTimeout. Bodies see the same TaskCtx in every pass: layered or
+// wavefront, at the top level or inside a composed task.
+func (d *wfDispatcher) pass(ctx context.Context) (done int, err error, failedCores int) {
+	d.runCtx, d.ctx = ctx, ctx
+	if d.openLayer(false) {
+		d.advance() // wavefront: layers with no tasks complete at once
+		d.wg.Add(len(d.workers))
+		for r := 1; r < len(d.workers); r++ {
+			go d.workers[r].run()
+		}
+		d.workers[0].run() // on the calling goroutine, which would only wait
+		d.wg.Wait()
+		if d.cancel != nil {
+			d.cancel() // the deadline of a layer that never closed
+		}
+		d.fold()
 	}
-	d.ctx, d.to = ctx, to
-	d.advance() // layers with no tasks complete immediately
-
-	d.wg.Add(len(d.workers))
-	for r := range d.workers {
-		go d.workers[r].run()
+	if d.haltErr != nil {
+		return d.done, d.haltErr, 0
 	}
-	d.wg.Wait()
-	d.fold()
-
 	if len(d.errs) == 0 {
-		if d.done != to {
+		if d.done != len(d.sched.Layers) && d.resized == nil {
 			// Cannot happen for a valid schedule (PrecedenceOf proves the
 			// dependences acyclic), but a stall must be an error, not a
 			// silent partial result.
-			return d.done, d.stallError(), 0
+			return d.done, fmt.Errorf("runtime: dispatch stalled after layer %d of %d (internal error)",
+				d.done, len(d.sched.Layers)), 0
 		}
 		return d.done, nil, 0
 	}
@@ -292,34 +312,43 @@ func (d *wfDispatcher) pass(ctx context.Context, to int) (done int, err error, f
 }
 
 // fold moves the joined workers' busy core-time and spans into the
-// Report under one lock.
+// Report under one lock and their collective counts into the World's
+// Stats (an abandoned share's later ones are lost), and adds the pass's
+// dispatch metrics to the recorder: sums, and the launch-backlog peak as
+// a maximum over the run.
 func (d *wfDispatcher) fold() {
+	var wakeups, chainLaunches int64
 	r := d.rep
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	for i := range d.workers {
 		wk := &d.workers[i]
 		r.busy += wk.busy
 		r.Spans = append(r.Spans, wk.log...)
-		wk.busy, wk.log = 0, wk.log[:0]
+		wakeups += wk.wakeups
+		chainLaunches += wk.chainLaunches
+		d.w.Stats.addAll(&wk.stats)
+	}
+	r.mu.Unlock()
+	if rec := d.cfg.rec; rec != nil {
+		rec.Counter("exec.wf.wakeups").Add(wakeups)
+		rec.Counter("exec.wf.chain_launches").Add(chainLaunches)
+		if pk := d.peakReady.Load(); pk > rec.Counter("exec.wf.peak_ready").Value() {
+			rec.SetMetric("exec.wf.peak_ready", pk)
+		}
 	}
 }
 
-// run walks the worker's occupancy chain through the pass's layer range:
-// lead the tasks whose interval starts at this rank, follow the rest. When
-// a led task fails (or the failure drain began) the worker marks its
-// remaining leader entries of the pass skipped, waking their followers,
-// and exits; in-flight attempts drain through their own leaders.
+// run walks the worker's occupancy chain: lead the tasks whose interval
+// starts at this rank, follow the rest. When a led task fails, or the
+// pass stops launching its layer, the worker marks its remaining leader
+// entries skipped, waking their followers, and exits; in-flight attempts
+// drain through their own leaders.
 func (wk *wfWorker) run() {
 	d := wk.d
 	defer d.wg.Done()
-	growStack()
 	chain := d.prec.Chains[wk.rank]
 	for ; wk.next < len(chain); wk.next++ {
 		td := d.prec.Tasks[chain[wk.next]]
-		if td.Layer >= d.to {
-			return
-		}
 		if td.Lo == wk.rank {
 			if !wk.lead(td) {
 				wk.drainChain(chain[wk.next:])
@@ -331,37 +360,28 @@ func (wk *wfWorker) run() {
 	}
 }
 
-// growStack grows a fresh worker's stack while it holds two frames. A
-// leading worker's attempt runs a dozen frames deep — the body under
-// runRankAttempt's deferred recovery, and under a deadline
-// context.WithTimeout arming a runtime timer — past the stack a goroutine
-// starts with, and growing the stack there copies those frames: twice the
-// cost, paid by every leading worker of every pass, so about once per
-// task in a layered pass. Workers that persist across passes (ROADMAP
-// item 1(d)) would pay it once per execution instead.
-//
-//go:noinline
-func growStack() {
-	var pad [1536]byte
-	runtime.KeepAlive(&pad)
-}
-
-// lead waits for the task's dependence counter to drain, then runs it
+// lead waits for the task's layer to open (followers run what their
+// leader publishes) and its dependence counter to drain, then runs it
 // with the full retry loop. It returns false when the task failed or the
-// dispatcher entered the failure drain, and the worker must stop
-// launching.
+// pass stopped launching its layer, and the worker must stop launching.
 func (wk *wfWorker) lead(td *core.TaskDeps) bool {
 	d := wk.d
+	for td.Layer > int(d.open.Load()) { // the layer barrier: no dependence, not a park
+		if td.Layer >= int(d.stop.Load()) {
+			return false
+		}
+		<-wk.wake
+	}
 	parked := false
 	for d.remaining[td.ID].Load() != 0 {
-		if d.failing.Load() {
+		if td.Layer >= int(d.stop.Load()) {
 			return false
 		}
 		<-wk.wake
 		wk.wakeups++
 		parked = true
 	}
-	if d.failing.Load() {
+	if td.Layer >= int(d.stop.Load()) {
 		return false // became ready during the drain: do not launch
 	}
 	if !parked {
@@ -588,26 +608,92 @@ func (d *wfDispatcher) complete(td *core.TaskDeps) {
 	}
 }
 
-// advance moves the completed-layer prefix over every drained layer of
-// the pass, recording each top-level checkpoint (Report.Layers does not
-// count the layers of composed tasks).
+// advance moves the completed-layer prefix over every drained layer; a
+// layered pass closes one layer and opens the next outside the lock.
 func (d *wfDispatcher) advance() {
 	d.doneMu.Lock()
-	for d.done < d.to && d.layerLeft[d.done].Load() == 0 {
-		if d.cfg.prefix == "" {
-			d.rep.layerDone()
-			d.cfg.rec.Instant("layer-done", "exec", obs.ControlRank, d.cfg.rec.Now())
-		}
-		d.done++
+	closed := false
+	for !closed && d.done < len(d.layerLeft) && d.layerLeft[d.done].Load() == 0 {
+		d.closeLayer()
+		closed = !d.cfg.wavefront
 	}
 	d.doneMu.Unlock()
+	if closed {
+		d.openLayer(true)
+	}
+}
+
+// closeLayer advances the completed-layer prefix by one layer, recording
+// each top-level checkpoint (Report.Layers does not count the layers of
+// composed tasks).
+func (d *wfDispatcher) closeLayer() {
+	if d.cfg.prefix == "" {
+		d.rep.layerDone()
+		d.cfg.rec.Instant("layer-done", "exec", obs.ControlRank, d.cfg.rec.Now())
+	}
+	d.done++
+}
+
+// openLayer opens layer d.done. pass calls it before the workers start,
+// advance once a layered pass closed a layer: then no body runs and no
+// other worker touches the layer state until the layer opens. It cancels
+// the closed layer's deadline, consults the resizer (boundary) and
+// observes cancellation; in a layered pass it then closes a layer with no
+// tasks at once, or arms the layer's deadline, opens it and wakes its
+// group leaders. It reports false when the pass halts at the layer
+// instead: no task of it or later starts.
+func (d *wfDispatcher) openLayer(boundary bool) bool {
+	for ; ; boundary = true {
+		li := d.done
+		if d.cancel != nil {
+			d.cancel()
+			d.cancel = nil
+		}
+		if li == len(d.layerLeft) {
+			return true
+		}
+		if boundary && d.cfg.resize != nil {
+			ns, err := d.cfg.resize(d.runCtx, li)
+			if err != nil {
+				d.haltErr = fmt.Errorf("runtime: resize at layer barrier %d: %w", li, err)
+			} else if ns != d.sched {
+				d.resized = ns // nil keeps the schedule
+			}
+		}
+		if err := d.runCtx.Err(); err != nil && d.haltErr == nil && d.resized == nil {
+			d.haltErr = fmt.Errorf("runtime: execution canceled before layer %d: %w", li, err)
+		}
+		if d.haltErr != nil || d.resized != nil {
+			d.stop.Store(int32(li))
+			d.wakeAll()
+			return false
+		}
+		if d.cfg.wavefront {
+			return true
+		}
+		if d.prec.LayerCounts[li] > 0 {
+			d.ctx = d.runCtx
+			if lt := d.cfg.policy.LayerTimeout; lt > 0 {
+				d.ctx, d.cancel = context.WithTimeout(d.runCtx, lt)
+			}
+			d.open.Store(int32(li))
+			lo := 0
+			for _, size := range d.sched.Layers[li].Sizes {
+				d.wakeWorker(lo)
+				lo += size
+			}
+			return true
+		}
+		d.closeLayer()
+	}
 }
 
 // fail records a terminal task failure, marks the lost ranks of an
 // exhausted group in the bitset and wakes every worker so parked
-// followers move on. A wavefront pass also enters the failure drain:
-// parked leaders stop launching. A layered pass does not — its groups
-// share no dependences, and each runs to its own end.
+// followers move on. A wavefront pass enters the failure drain: parked
+// leaders stop launching. A layered pass stops only at the next layer —
+// the groups of the failed layer share no dependences, and each runs to
+// its own end.
 func (d *wfDispatcher) fail(td *core.TaskDeps, err error, exhausted bool) {
 	d.errMu.Lock()
 	d.errs = append(d.errs, wfTaskError{td, err})
@@ -621,22 +707,21 @@ func (d *wfDispatcher) fail(td *core.TaskDeps, err error, exhausted bool) {
 	}
 	d.errMu.Unlock()
 	d.state[td.ID].Store(wfSkipped)
-	if d.cfg.wavefront {
-		d.failing.Store(true)
+	stop := 0
+	if !d.cfg.wavefront {
+		stop = td.Layer + 1
 	}
+	d.stop.Store(int32(stop))
 	d.wakeAll()
 }
 
-// drainChain marks the worker's remaining leader entries of the pass
-// skipped and wakes their followers; together with every other draining
-// leader this guarantees all parked followers terminate.
+// drainChain marks the worker's remaining leader entries skipped and
+// wakes their followers; together with every other draining leader this
+// guarantees all parked followers terminate.
 func (wk *wfWorker) drainChain(rest []graph.TaskID) {
 	d := wk.d
 	for _, id := range rest {
 		td := d.prec.Tasks[id]
-		if td.Layer >= d.to {
-			return
-		}
 		if td.Lo != wk.rank {
 			continue
 		}
@@ -673,50 +758,4 @@ func (d *wfDispatcher) noteReady() {
 			break
 		}
 	}
-}
-
-// wfStats totals the dispatch metrics of one execution over the
-// dispatchers it built (one per schedule: the initial one plus one per
-// replan or resize), and folds its workers' collective counts into the
-// World's Stats after its last pass (an abandoned share's later ones are
-// lost).
-type wfStats struct{ wakeups, chainLaunches, peakReady int64 }
-
-func (s *wfStats) add(d *wfDispatcher) {
-	if d == nil {
-		return
-	}
-	for r := range d.workers {
-		wk := &d.workers[r]
-		s.wakeups += wk.wakeups
-		s.chainLaunches += wk.chainLaunches
-		d.w.Stats.addAll(&wk.stats)
-	}
-	if pk := d.peakReady.Load(); pk > s.peakReady {
-		s.peakReady = pk
-	}
-}
-
-func (s *wfStats) flush(rec *obs.Recorder) {
-	if rec == nil {
-		return
-	}
-	rec.Counter("exec.wf.wakeups").Add(s.wakeups)
-	rec.Counter("exec.wf.chain_launches").Add(s.chainLaunches)
-	if s.peakReady > rec.Counter("exec.wf.peak_ready").Value() {
-		rec.SetMetric("exec.wf.peak_ready", s.peakReady)
-	}
-}
-
-// stallError names the first task of the pass that never completed,
-// making an internal-error stall diagnosable.
-func (d *wfDispatcher) stallError() error {
-	for _, id := range d.prec.Scheduled {
-		td := d.prec.Tasks[id]
-		if td.Layer >= d.done && td.Layer < d.to && d.state[id].Load() != wfDone {
-			return fmt.Errorf("runtime: dispatch stalled after layer %d of %d at task %d (layer %d group %d) (internal error)",
-				d.done, len(d.sched.Layers), id, td.Layer, td.Group)
-		}
-	}
-	return fmt.Errorf("runtime: dispatch stalled after layer %d of %d (internal error)", d.done, len(d.sched.Layers))
 }

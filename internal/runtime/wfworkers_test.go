@@ -51,7 +51,7 @@ func gridSchedule(p, layers, gsize int) *core.Schedule {
 	return sched
 }
 
-// execModes are the two pass widths of the dispatcher.
+// execModes are the two execution modes of the dispatcher.
 var execModes = []struct {
 	name    string
 	layered bool
@@ -63,7 +63,7 @@ var execModes = []struct {
 
 func TestPropertyWorkersMatchSequential(t *testing.T) {
 	// The differential property of the dispatcher: on the same schedule
-	// both pass widths must produce bitwise identical results, the same
+	// both modes must produce bitwise identical results, the same
 	// completed-layer count and the same number of successful spans as
 	// the sequential reference interpreter, for random DAGs and varying
 	// core counts.
@@ -394,11 +394,12 @@ func TestWorkersStalePublicationRace(t *testing.T) {
 
 func TestWavefrontDispatchAllocFree(t *testing.T) {
 	// The headline perf gate: steady-state dispatch must not allocate per
-	// task. The fixed setup cost of a pass (precedence metadata slabs,
-	// worker slabs, P wake channels) is constant in the task count, so
-	// amortized over a few thousand tasks the per-task share must be a
-	// rounding error — a goroutine-per-task dispatcher costs several
-	// allocations per task and fails this hard.
+	// task, in either mode. The fixed setup cost of a pass (precedence
+	// metadata slabs, worker slabs, P wake channels) is constant in the
+	// task count, so amortized over a few thousand tasks the per-task
+	// share must be a rounding error — a goroutine-per-task dispatcher
+	// costs several allocations per task and fails this hard, and so does
+	// a layered run that starts its workers again for every layer.
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race (instrumentation + sync.Pool drops)")
 	}
@@ -408,15 +409,19 @@ func TestWavefrontDispatchAllocFree(t *testing.T) {
 	shared := func(tc *TaskCtx) error { return nil }
 	body := func(task *graph.Task) TaskFunc { return shared }
 
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := ExecuteCtx(context.Background(), w, sched, body, WithWavefront(), WithoutTimeline()); err != nil {
-			t.Fatal(err)
+	for _, mode := range execModes {
+		opts := append([]ExecOption{WithoutTimeline()}, mode.opts...)
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := ExecuteCtx(context.Background(), w, sched, body, opts...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perTask := allocs / tasks
+		t.Logf("%s dispatch: %.0f allocs per run, %.4f per task (%d tasks)", mode.name, allocs, perTask, tasks)
+		if perTask >= 0.5 {
+			t.Errorf("%s dispatch allocates %.4f per task (%.0f per %d-task run), want amortized-free",
+				mode.name, perTask, allocs, tasks)
 		}
-	})
-	perTask := allocs / tasks
-	t.Logf("dispatch: %.0f allocs per pass, %.4f per task (%d tasks)", allocs, perTask, tasks)
-	if perTask >= 0.5 {
-		t.Fatalf("dispatch allocates %.4f per task (%.0f per %d-task pass), want amortized-free", perTask, allocs, tasks)
 	}
 }
 
@@ -445,12 +450,13 @@ func TestWavefrontPeakGoroutinesConstant(t *testing.T) {
 	// runtime.NumGoroutine is cheap but can read up to 32 too high: it is
 	// allglen minus the free-list counts, and the runtime moves dead
 	// goroutines from a P's free list to the global one in batches of 32,
-	// decrementing one count before incrementing the other. Layered mode
-	// starts and joins P workers per layer, so it triggers those moves
-	// all the time. A sample above the bound is therefore confirmed with
-	// an exact stop-the-world count, and the exact number is recorded; a
-	// real per-task or per-attempt leak still fails. Parking the workers
-	// between passes (ROADMAP item 1(d)) would remove the churn itself.
+	// decrementing one count before incrementing the other. The default
+	// policy's deadline runs every share on a goroutine of its own that
+	// exits when the share returns, so it triggers those moves all the
+	// time, and a sample can land while dead workers of an earlier run
+	// are being moved. A sample above the bound is therefore confirmed
+	// with an exact stop-the-world count, and the exact number is
+	// recorded; a real per-task or per-attempt leak still fails.
 	const P = 8
 	sched := gridSchedule(P, 200, 1)
 	for _, pc := range []struct {
@@ -524,7 +530,7 @@ func checkRetentions(t *testing.T, what string, full, lean *Report, faulted []st
 }
 
 func TestWithoutTimelineLeanReport(t *testing.T) {
-	// One scripted retry, run by the dispatcher in both pass widths and
+	// One scripted retry, run by the dispatcher in both modes and
 	// by the sequential reference, each in both retentions: the reports
 	// agree on the retried task's history (the failed first attempt
 	// counted) and on the totals, the lean one drops the spans and every
@@ -580,7 +586,7 @@ func TestLeanReportConcurrentFaults(t *testing.T) {
 	// while ~5% of them fail (scripted errors and panics at attempt 1,
 	// some again at attempt 2, on either group rank), so Tasks entries
 	// are created under the lock while clean tasks number their attempts
-	// and log their core-time without it. In both pass widths the full and
+	// and log their core-time without it. In both modes the full and
 	// the lean report must agree with each other (checkRetentions) and
 	// with the sequential reference's on every faulted task's history,
 	// every output must equal the reference's bitwise, and the busy

@@ -134,10 +134,3 @@ func BlockRange(n, size, rank int) (lo, hi int) {
 	}
 	return lo, lo + cnt
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -497,9 +497,11 @@ type Resizer = runtime.Resizer
 // machine-level job allocator to grow and shrink running jobs.
 func WithResizer(r Resizer) ExecOption { return runtime.WithResizer(r) }
 
-// ErrResizeInWavefront marks WithResizer combined with WithWavefront:
-// wavefront runs have no layer barriers, so they are moldable (sized at
-// admission) but not malleable.
+// ErrResizeInWavefront marks WithResizer combined with WithWavefront: a
+// Resizer applies a shrink before it returns, and a wavefront run, whose
+// later-layer tasks are in flight at every boundary, would keep running
+// them on cores already handed to another job. Wavefront runs are
+// moldable (sized at admission) but not malleable.
 var ErrResizeInWavefront = runtime.ErrResizeInWavefront
 
 // TaskSpan is one Report timeline entry: which task ran on which layer,
