@@ -1,16 +1,20 @@
 // Dynamictasks: the dynamic counterpart of the static layer-based
 // scheduler (paper Section 2.2.2, as supported by the authors' Tlib
 // library): M-tasks created recursively at runtime split their core group
-// (divide-and-conquer), and a dynamic pool assigns cores to a stream of
-// M-tasks as they become free.
+// (divide-and-conquer), and the machine allocator assigns cores to a
+// stream of SPMD M-tasks as nodes become free.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sync/atomic"
 
+	"mtask/internal/arch"
 	"mtask/internal/dynsched"
+	"mtask/internal/graph"
+	"mtask/internal/plan"
 	"mtask/internal/runtime"
 )
 
@@ -67,33 +71,42 @@ func main() {
 	}
 	fmt.Printf("recursive divide-and-conquer sort of %d elements on 8 cores: sorted=%v\n", n, ok)
 
-	// --- dynamic pool: M-tasks with mixed core requirements ---
-	pool, err := dynsched.NewPool(8)
+	// --- allocator: SPMD M-tasks admitted as nodes become free ---
+	m := arch.CHiC().Subset(4)
+	alloc, err := dynsched.NewAllocator(m, plan.New())
 	if err != nil {
 		log.Fatal(err)
 	}
 	var done atomic.Int64
-	tasks := make([]dynsched.PoolTask, 10)
-	for i := range tasks {
-		need := 1 + i%4
-		tasks[i] = dynsched.PoolTask{
-			Name:  fmt.Sprintf("job%d", i),
-			Cores: need,
-			Body: func(c *runtime.Comm) error {
-				// A tiny SPMD computation per task.
-				sum := c.AllreduceSum(float64(c.Rank() + 1))
-				_ = sum
-				if c.Rank() == 0 {
-					done.Add(1)
-				}
-				return nil
-			},
+	body := func(t *graph.Task) runtime.TaskFunc {
+		return func(tc *runtime.TaskCtx) error {
+			// A tiny SPMD computation per task.
+			tc.Group.AllreduceSum(float64(tc.Group.Rank() + 1))
+			if tc.Group.Rank() == 0 {
+				done.Add(1)
+			}
+			return nil
 		}
 	}
-	if err := pool.RunAll(tasks); err != nil {
+	jobs := make([]dynsched.Job, 10)
+	for i := range jobs {
+		name := fmt.Sprintf("job%d", i)
+		g := graph.New(name)
+		g.AddTask(&graph.Task{Name: name, Kind: graph.KindBasic, Work: 1e6})
+		nodes := 1 + i%2
+		jobs[i] = dynsched.Job{Name: name, Graph: g, Body: body, MinNodes: nodes, MaxNodes: nodes, Rigid: true}
+	}
+	results, err := alloc.RunTrace(context.Background(), jobs)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("dynamic pool executed %d M-tasks (1-4 cores each) on 8 cores\n", done.Load())
+	for _, r := range results {
+		if r.Err != nil {
+			log.Fatal(r.Err)
+		}
+	}
+	fmt.Printf("allocator executed %d M-tasks (1-2 nodes each) on %d nodes (%d cores)\n",
+		done.Load(), m.Nodes, m.TotalCores())
 }
 
 func insertionSort(a []float64) {

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // ErrInvalidMachine is the sentinel wrapped by every Machine.Validate
@@ -148,23 +147,6 @@ func (c CoreID) AppendLabel(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(c.Proc)+1, 10)
 	b = append(b, '.')
 	return strconv.AppendInt(b, int64(c.Core)+1, 10)
-}
-
-// ParseCoreID parses a one-based nid.pid.cid label.
-func ParseCoreID(s string) (CoreID, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 3 {
-		return CoreID{}, fmt.Errorf("arch: malformed core label %q", s)
-	}
-	var v [3]int
-	for i, p := range parts {
-		x, err := strconv.Atoi(p)
-		if err != nil || x < 1 {
-			return CoreID{}, fmt.Errorf("arch: malformed core label %q", s)
-		}
-		v[i] = x - 1
-	}
-	return CoreID{Node: v[0], Proc: v[1], Core: v[2]}, nil
 }
 
 // Rank returns the position of the core in the canonical consecutive

@@ -82,26 +82,6 @@ func TestAllCoresOrder(t *testing.T) {
 	}
 }
 
-func TestCoreIDStringParse(t *testing.T) {
-	c := CoreID{Node: 2, Proc: 1, Core: 0}
-	s := c.String()
-	if s != "3.2.1" {
-		t.Fatalf("String = %q, want 3.2.1", s)
-	}
-	got, err := ParseCoreID(s)
-	if err != nil {
-		t.Fatalf("ParseCoreID: %v", err)
-	}
-	if got != c {
-		t.Fatalf("round trip = %v, want %v", got, c)
-	}
-	for _, bad := range []string{"", "1.2", "1.2.3.4", "0.1.1", "a.b.c"} {
-		if _, err := ParseCoreID(bad); err == nil {
-			t.Errorf("ParseCoreID(%q) accepted", bad)
-		}
-	}
-}
-
 // TestCoreIDStringMatchesSprintf pins the fmt-free String against the
 // Sprintf form it replaced, over a whole machine and the int extremes.
 func TestCoreIDStringMatchesSprintf(t *testing.T) {
@@ -114,12 +94,6 @@ func TestCoreIDStringMatchesSprintf(t *testing.T) {
 		}
 		if got := string(c.AppendLabel([]byte("x"))); got != "x"+want {
 			t.Fatalf("%#v: AppendLabel = %q, want %q", c, got, "x"+want)
-		}
-		if c.Node < 0 || c.Proc < 0 || c.Core < 0 {
-			continue // zero-based negatives have no one-based label to parse
-		}
-		if back, err := ParseCoreID(c.String()); err != nil || back != c {
-			t.Fatalf("ParseCoreID(%q) = %v, %v; want %v", c.String(), back, err, c)
 		}
 	}
 }

@@ -14,7 +14,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"mtask/internal/arch"
 	"mtask/internal/core"
@@ -311,12 +310,4 @@ func FromMapping(m *cost.Model, mp *core.Mapping) (*Program, []int, error) {
 		prevBarrier = barrier
 	}
 	return prog, index, nil
-}
-
-// SpeedupOver returns the speedup of this result over a sequential time.
-func (r *Result) SpeedupOver(seq float64) float64 {
-	if r.Makespan <= 0 {
-		return math.Inf(1)
-	}
-	return seq / r.Makespan
 }

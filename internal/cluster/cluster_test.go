@@ -282,17 +282,6 @@ func TestLayerBarrierOrdersLayers(t *testing.T) {
 	}
 }
 
-func TestSpeedupOver(t *testing.T) {
-	r := &Result{Makespan: 2}
-	if got := r.SpeedupOver(8); got != 4 {
-		t.Fatalf("speedup = %g, want 4", got)
-	}
-	zero := &Result{}
-	if !math.IsInf(zero.SpeedupOver(1), 1) {
-		t.Fatal("zero makespan speedup should be +Inf")
-	}
-}
-
 func TestRenderGantt(t *testing.T) {
 	m := chic(2)
 	p := &Program{Name: "gantt"}

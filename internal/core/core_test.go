@@ -493,9 +493,9 @@ func TestMapDisjointGroups(t *testing.T) {
 			t.Fatalf("%s: %v", strat.Name(), err)
 		}
 		// Every scheduled task must have cores.
-		for _, ls := range sched.Layers {
+		for li, ls := range sched.Layers {
 			for _, id := range ls.Layer {
-				if len(mp.TaskCores(id)) == 0 {
+				if len(mp.GroupCores(li, ls.GroupOf(id))) == 0 {
 					t.Fatalf("%s: task %d has no cores", strat.Name(), id)
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"mtask/internal/arch"
-	"mtask/internal/graph"
 )
 
 // Strategy defines a mapping strategy: an ordering of the physical cores
@@ -163,19 +162,6 @@ func MapCtx(ctx context.Context, s *Schedule, m *arch.Machine, strat Strategy) (
 
 // GroupCores returns the physical cores of group gi in layer li.
 func (mp *Mapping) GroupCores(li int, gi GroupID) []arch.CoreID {
-	return mp.Cores[li][int(gi)]
-}
-
-// TaskCores returns the physical cores executing the given scheduled task.
-func (mp *Mapping) TaskCores(id graph.TaskID) []arch.CoreID {
-	li := mp.Schedule.LayerOf(id)
-	if li < 0 {
-		return nil
-	}
-	gi := mp.Schedule.Layers[li].GroupOf(id)
-	if gi < 0 {
-		return nil
-	}
 	return mp.Cores[li][int(gi)]
 }
 

@@ -91,61 +91,3 @@ func TestRunCtxRecoversPanic(t *testing.T) {
 		t.Fatal("panic deadlocked the world")
 	}
 }
-
-func TestPoolRunAllCtxCancellation(t *testing.T) {
-	// Canceling mid-stream stops launching queued tasks: with a 2-core
-	// pool and blocking 2-core tasks, cancellation during the first task
-	// must prevent the remaining ones from starting.
-	pool, _ := NewPool(2)
-	ctx, cancel := context.WithCancel(context.Background())
-	var started atomic.Int64
-	release := make(chan struct{})
-	tasks := make([]PoolTask, 4)
-	for i := range tasks {
-		tasks[i] = PoolTask{
-			Name:  "blocker",
-			Cores: 2,
-			Body: func(c *runtime.Comm) error {
-				started.Add(1)
-				<-release
-				return nil
-			},
-		}
-	}
-	done := make(chan error, 1)
-	go func() { done <- pool.RunAllCtx(ctx, tasks) }()
-	for started.Load() < 2 { // first task occupies both cores
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	close(release)
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("got %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("pool did not stop")
-	}
-	if got := started.Load(); got != 2 {
-		t.Fatalf("%d ranks started, want only the first task's 2", got)
-	}
-}
-
-func TestPoolRunAllCtxRecoversPanic(t *testing.T) {
-	// A panicking pool task is reported as that task's failure, and the
-	// remaining tasks still run.
-	pool, _ := NewPool(4)
-	var ok atomic.Int64
-	err := pool.RunAllCtx(context.Background(), []PoolTask{
-		{Name: "bad", Cores: 2, Body: func(c *runtime.Comm) error { panic("pool boom") }},
-		{Name: "good", Cores: 2, Body: func(c *runtime.Comm) error { ok.Add(1); return nil }},
-	})
-	var pe *runtime.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("got %v, want *runtime.PanicError", err)
-	}
-	if ok.Load() != 2 {
-		t.Fatalf("good task ran on %d ranks, want 2", ok.Load())
-	}
-}

@@ -7,23 +7,19 @@
 // divide-and-conquer algorithms. The Tlib library supports such
 // applications."
 //
-// Two facilities mirror Tlib:
-//
-//   - Ctx.SplitRun recursively splits the current core group into weighted
-//     subgroups, each executing a child M-task concurrently
-//     (divide-and-conquer task creation);
-//   - Pool schedules a dynamic stream of M-tasks with given core
-//     requirements onto free cores greedily.
+// Ctx.SplitRun mirrors Tlib: it recursively splits the current core group
+// into weighted subgroups, each executing a child M-task concurrently
+// (divide-and-conquer task creation). The Allocator (jobs.go) assigns
+// cores to a stream of M-tasks at runtime as cores become free: it admits
+// jobs onto whole-node partitions of a machine, FCFS with bounded
+// backfill.
 package dynsched
 
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
 	"mtask/internal/core"
-	"mtask/internal/obs"
 	"mtask/internal/runtime"
 )
 
@@ -37,8 +33,8 @@ type Ctx struct {
 	Comm *runtime.Comm
 	// Depth is the recursive split depth (0 for the root task).
 	Depth int
-	// Context carries the cancellation of RunCtx / RunAllCtx
-	// (context.Background() under the plain entry points).
+	// Context carries the cancellation of RunCtx (context.Background()
+	// under Run).
 	Context context.Context
 }
 
@@ -116,172 +112,4 @@ func (c *Ctx) SplitRun(weights []float64, tasks []Task) error {
 		}
 	}
 	return nil
-}
-
-// --- dynamic pool scheduling ---
-
-// PoolTask is an M-task submitted to a dynamic pool: it requires Cores
-// cores and runs Body on a fresh group of that size.
-type PoolTask struct {
-	Name  string
-	Cores int
-	Body  func(c *runtime.Comm) error
-}
-
-// Pool schedules a set of M-tasks onto P cores dynamically: whenever
-// enough cores are idle, the next task (largest requirement first, the
-// greedy rule of the static scheduler) grabs them. It returns the first
-// task error, if any.
-type Pool struct {
-	P int
-
-	// Backfill opts into out-of-order admission: when the largest pending
-	// task does not fit the free cores, the largest pending task that does
-	// fit is admitted instead of blocking the queue head-of-line. The
-	// default (false) keeps strict largest-first admission order, which
-	// never starves a wide task but can idle cores behind it. Set before
-	// the first RunAll / RunAllCtx call; the field is not synchronised.
-	Backfill bool
-
-	// Trace, when non-nil, records pool activity on the recorder's
-	// control track: an admission instant per task ("admit:<name>", or
-	// "backfill:<name>" for out-of-order picks), per-task execution
-	// spans, and counter samples of the pending-queue depth and free
-	// cores at every admission. Set before the first RunAll / RunAllCtx
-	// call; the field is not synchronised.
-	Trace *obs.Recorder
-
-	mu    sync.Mutex
-	cond  *sync.Cond
-	free  int
-	first error
-}
-
-// NewPool returns a dynamic pool over P cores.
-func NewPool(p int) (*Pool, error) {
-	if p < 1 {
-		return nil, fmt.Errorf("dynsched: pool needs at least one core")
-	}
-	pool := &Pool{P: p, free: p}
-	pool.cond = sync.NewCond(&pool.mu)
-	return pool, nil
-}
-
-// clamp bounds a task's core requirement to [1, P], like the paper's
-// schedulers do via MaxWidth.
-func (p *Pool) clamp(cores int) int {
-	if cores < 1 {
-		return 1
-	}
-	if cores > p.P {
-		return p.P
-	}
-	return cores
-}
-
-// RunAll executes the tasks, each on its own goroutine group, never using
-// more than P cores at once. Tasks requiring more than P cores are
-// clamped to P (the paper's schedulers do the same via MaxWidth). It is
-// equivalent to RunAllCtx with a background context.
-func (p *Pool) RunAll(tasks []PoolTask) error {
-	return p.RunAllCtx(context.Background(), tasks)
-}
-
-// RunAllCtx executes the tasks like RunAll with cancellation and panic
-// isolation: canceling ctx stops launching queued tasks (the cancellation
-// is also delivered to running task worlds, unblocking their collectives)
-// and RunAllCtx returns ctx's error after the already-running tasks
-// settle. A panicking task body is recovered into a *runtime.PanicError
-// and reported as that task's failure instead of crashing the process.
-func (p *Pool) RunAllCtx(ctx context.Context, tasks []PoolTask) error {
-	ordered := append([]PoolTask(nil), tasks...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Cores > ordered[j].Cores })
-
-	// Wake the admission loop when ctx is canceled.
-	stop := make(chan struct{})
-	defer close(stop)
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				p.mu.Lock()
-				p.cond.Broadcast()
-				p.mu.Unlock()
-			case <-stop:
-			}
-		}()
-	}
-
-	var wg sync.WaitGroup
-	canceled := false
-	for len(ordered) > 0 {
-		// Pick the next admissible task: the queue head (largest pending
-		// requirement), or — in backfill mode — the largest pending task
-		// that fits the free cores when the head does not.
-		p.mu.Lock()
-		pick := -1
-		for pick < 0 && ctx.Err() == nil {
-			if p.clamp(ordered[0].Cores) <= p.free {
-				pick = 0
-			} else if p.Backfill {
-				for i := 1; i < len(ordered); i++ {
-					if p.clamp(ordered[i].Cores) <= p.free {
-						pick = i
-						break
-					}
-				}
-			}
-			if pick < 0 {
-				p.cond.Wait()
-			}
-		}
-		if ctx.Err() != nil {
-			p.mu.Unlock()
-			canceled = true
-			break
-		}
-		t := ordered[pick]
-		need := p.clamp(t.Cores)
-		p.free -= need
-		freeNow := p.free
-		p.mu.Unlock()
-		ordered = append(ordered[:pick], ordered[pick+1:]...)
-		if p.Trace != nil {
-			now := p.Trace.Now()
-			kind := "admit:"
-			if pick > 0 {
-				kind = "backfill:"
-				p.Trace.Counter("dynsched.backfills").Add(1)
-			}
-			p.Trace.Instant(kind+t.Name, "dynsched", obs.ControlRank, now)
-			p.Trace.Counter("dynsched.admitted").Add(1)
-			p.Trace.CounterSample("dynsched.queue_depth", "dynsched", obs.ControlRank, now, float64(len(ordered)))
-			p.Trace.CounterSample("dynsched.free_cores", "dynsched", obs.ControlRank, now, float64(freeNow))
-		}
-
-		wg.Add(1)
-		go func(t PoolTask, need int) {
-			defer wg.Done()
-			tstart := p.Trace.Now()
-			w, err := runtime.NewWorld(need)
-			if err == nil {
-				err = w.RunCtx(ctx, t.Body)
-			}
-			p.Trace.Span(t.Name, "dynsched", obs.ControlRank, -1, -1, tstart, p.Trace.Now())
-			p.mu.Lock()
-			if err != nil && p.first == nil {
-				p.first = fmt.Errorf("dynsched: task %q: %w", t.Name, err)
-			}
-			p.free += need
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		}(t, need)
-	}
-	wg.Wait()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if canceled && p.first == nil {
-		return fmt.Errorf("dynsched: pool canceled: %w", ctx.Err())
-	}
-	return p.first
 }

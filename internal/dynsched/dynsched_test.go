@@ -147,75 +147,6 @@ func TestSplitRunArgMismatch(t *testing.T) {
 	}
 }
 
-func TestPoolRunsAllTasks(t *testing.T) {
-	pool, err := NewPool(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ran atomic.Int64
-	var peak atomic.Int64
-	var active atomic.Int64
-	tasks := make([]PoolTask, 12)
-	for i := range tasks {
-		need := 1 + i%4
-		tasks[i] = PoolTask{
-			Name:  fmt.Sprintf("t%d", i),
-			Cores: need,
-			Body: func(c *runtime.Comm) error {
-				if c.Rank() == 0 {
-					cur := active.Add(int64(c.Size()))
-					for {
-						p := peak.Load()
-						if cur <= p || peak.CompareAndSwap(p, cur) {
-							break
-						}
-					}
-					ran.Add(1)
-				}
-				c.Barrier()
-				if c.Rank() == 0 {
-					active.Add(-int64(c.Size()))
-				}
-				return nil
-			},
-		}
-	}
-	if err := pool.RunAll(tasks); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 12 {
-		t.Fatalf("ran %d tasks, want 12", ran.Load())
-	}
-	if peak.Load() > 8 {
-		t.Fatalf("pool oversubscribed: peak %d cores", peak.Load())
-	}
-}
-
-func TestPoolClampsAndErrors(t *testing.T) {
-	pool, _ := NewPool(4)
-	var size atomic.Int64
-	err := pool.RunAll([]PoolTask{
-		{Name: "big", Cores: 99, Body: func(c *runtime.Comm) error {
-			if c.Rank() == 0 {
-				size.Store(int64(c.Size()))
-			}
-			return nil
-		}},
-		{Name: "bad", Cores: 2, Body: func(c *runtime.Comm) error {
-			return fmt.Errorf("nope")
-		}},
-	})
-	if err == nil {
-		t.Fatal("task error swallowed")
-	}
-	if size.Load() != 4 {
-		t.Fatalf("oversized task got %d cores, want clamp to 4", size.Load())
-	}
-	if _, err := NewPool(0); err == nil {
-		t.Fatal("empty pool accepted")
-	}
-}
-
 // Property (testing/quick): split sizes always sum to q with a floor of
 // one core per subgroup.
 func TestQuickSplitSizes(t *testing.T) {

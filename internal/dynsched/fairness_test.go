@@ -50,7 +50,7 @@ func sleepBody(d time.Duration) func(t *graph.Task) runtime.TaskFunc {
 func TestBackfillStarvationGuard(t *testing.T) {
 	m := arch.CHiC().Subset(4)
 	pl := plan.New()
-	a := &Allocator{Machine: m, Planner: pl, Backfill: true, MaxBypass: 2}
+	a := &Allocator{Machine: m, Planner: pl, MaxBypass: 2}
 	ctx := context.Background()
 
 	release := make(chan struct{})
@@ -126,7 +126,7 @@ func TestBackfillStarvationGuard(t *testing.T) {
 func TestCancellationDuringResize(t *testing.T) {
 	m := arch.CHiC().Subset(4)
 	pl := plan.New()
-	a := &Allocator{Machine: m, Planner: pl, Backfill: true}
+	a := &Allocator{Machine: m, Planner: pl}
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
 
@@ -195,7 +195,7 @@ func TestCancellationDuringResize(t *testing.T) {
 func TestEquipartitionRebalance(t *testing.T) {
 	m := arch.CHiC().Subset(4)
 	pl := plan.New()
-	a := &Allocator{Machine: m, Planner: pl, Backfill: true}
+	a := &Allocator{Machine: m, Planner: pl}
 
 	// A is long (12 paced stages) and takes the whole machine.
 	gA := jobLadder("eqA", 12)
@@ -246,7 +246,7 @@ func TestEquipartitionRebalance(t *testing.T) {
 func TestCancellationWhileQueued(t *testing.T) {
 	m := arch.CHiC().Subset(2)
 	pl := plan.New()
-	a := &Allocator{Machine: m, Planner: pl, Backfill: true}
+	a := &Allocator{Machine: m, Planner: pl}
 	release := make(chan struct{})
 	chR, err := a.Submit(context.Background(), Job{
 		Name: "R", Graph: gatedGraph("R"), Body: gatedBody(release), MinNodes: 2,

@@ -16,8 +16,8 @@ import (
 )
 
 // This file is the second scheduling level of the paper's model: where
-// Pool schedules tasks-within-a-job, Allocator schedules
-// jobs-within-a-machine. A stream of M-task jobs is admitted onto
+// the layer-based schedule places tasks within a job, Allocator schedules
+// jobs within a machine. A stream of M-task jobs is admitted onto
 // whole-node partitions of one machine; each job's partition size is
 // picked by a moldable speedup model (planner-predicted makespans at
 // candidate sizes, kept while the marginal efficiency of growing stays
@@ -150,13 +150,11 @@ type Allocator struct {
 	// resizes cheap (schedule cache, incremental layer reuse).
 	Planner *plan.Planner
 
-	// Backfill admits a later queued job when the head does not fit
-	// (first fit in queue order), bounded by MaxBypass.
-	Backfill bool
-
 	// MaxBypass bounds how often the queue head may be bypassed by
-	// backfills before backfilling pauses (starvation guard). Zero means
-	// DefaultMaxBypass; negative means unlimited.
+	// backfills (a later queued job admitted first fit in queue order
+	// while the head does not fit) before backfilling pauses: the
+	// starvation guard. Zero means DefaultMaxBypass; negative means
+	// unlimited.
 	MaxBypass int
 
 	// EfficiencyFloor tunes moldable sizing (see DefaultEfficiencyFloor);
@@ -192,9 +190,9 @@ type Allocator struct {
 	started   bool
 }
 
-// NewAllocator returns an Allocator over the machine with backfill
-// enabled and default fairness and sizing parameters. The planner may be
-// shared with other users.
+// NewAllocator returns an Allocator over the machine with default
+// fairness and sizing parameters. The planner may be shared with other
+// users.
 func NewAllocator(m *arch.Machine, p *plan.Planner) (*Allocator, error) {
 	if m == nil || p == nil {
 		return nil, fmt.Errorf("dynsched: allocator needs a machine and a planner")
@@ -202,7 +200,7 @@ func NewAllocator(m *arch.Machine, p *plan.Planner) (*Allocator, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return &Allocator{Machine: m, Planner: p, Backfill: true}, nil
+	return &Allocator{Machine: m, Planner: p}, nil
 }
 
 // Start anchors the allocator epoch and makes the machine's nodes
@@ -422,9 +420,7 @@ func (a *Allocator) rebalanceLocked() {
 	}
 	if len(a.queue) > 0 {
 		a.requestShrinksLocked()
-		if a.Backfill {
-			a.backfillLocked(a.queue[0])
-		}
+		a.backfillLocked(a.queue[0])
 		return
 	}
 	a.requestGrowsLocked()

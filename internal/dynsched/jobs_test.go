@@ -2,7 +2,9 @@ package dynsched
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -91,7 +93,7 @@ func TestJobsBitwiseIdenticalUnderResizes(t *testing.T) {
 	}
 
 	rec := obs.New(1)
-	a := &Allocator{Machine: m, Planner: pl, Backfill: true, Trace: rec}
+	a := &Allocator{Machine: m, Planner: pl, Trace: rec}
 
 	// A's body submits B once A is two layers in, so the shrink decision
 	// lands while A still has many barriers ahead.
@@ -155,7 +157,7 @@ func TestJobsRunTraceReplaysArrivals(t *testing.T) {
 	const n = 16
 	m := arch.CHiC().Subset(2)
 	pl := plan.New()
-	a := &Allocator{Machine: m, Planner: pl, Backfill: true}
+	a := &Allocator{Machine: m, Planner: pl}
 
 	g1 := jobLadder("t1", 2)
 	g2 := jobLadder("t2", 2)
@@ -200,5 +202,85 @@ func TestJobsSubmitValidation(t *testing.T) {
 	}
 	if _, err := a.Submit(context.Background(), Job{Graph: g, Body: paced(st, 0, nil), MinNodes: 2, MaxNodes: 1}); err == nil {
 		t.Fatal("job with min > max accepted")
+	}
+}
+
+// TestJobsPanickingBodyReleasesNodes is the allocator's panic isolation:
+// a job whose body panics fails with a *runtime.PanicError instead of
+// crashing the process, the jobs beside and behind it complete, and its
+// nodes return to the machine, so a job submitted afterwards is admitted
+// on all of them.
+func TestJobsPanickingBodyReleasesNodes(t *testing.T) {
+	m := arch.CHiC().Subset(4)
+	a := &Allocator{Machine: m, Planner: plan.New()}
+	panicking := func(t *graph.Task) runtime.TaskFunc {
+		return func(tc *runtime.TaskCtx) error { panic("job boom") }
+	}
+	jobs := []Job{{Name: "bad", Graph: gatedGraph("bad"), Body: panicking, MinNodes: 2, MaxNodes: 2, Rigid: true}}
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("good%d", i)
+		jobs = append(jobs, Job{
+			Name: name, Graph: gatedGraph(name), Body: sleepBody(5 * time.Millisecond),
+			MinNodes: 1 + i%2, MaxNodes: 1 + i%2, Rigid: true,
+		})
+	}
+	results, err := a.RunTrace(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pe *runtime.PanicError
+	if !errors.As(results[0].Err, &pe) {
+		t.Fatalf("panicking job: err = %v, want a *runtime.PanicError", results[0].Err)
+	}
+	for _, r := range results[1:] {
+		if r.Err != nil {
+			t.Fatalf("job %s failed beside the panicking one: %v", r.Name, r.Err)
+		}
+	}
+	// The partitions never oversubscribe the machine. Admission and
+	// completion offsets are both taken under the allocator lock, so a
+	// release precedes the admission it enables (ties sort releases first).
+	type edge struct {
+		at    time.Duration
+		nodes int
+	}
+	var edges []edge
+	for _, r := range results {
+		edges = append(edges, edge{r.Started, r.InitialNodes}, edge{r.Done, -r.FinalNodes})
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].at != edges[j].at {
+			return edges[i].at < edges[j].at
+		}
+		return edges[i].nodes < edges[j].nodes
+	})
+	used := 0
+	for _, e := range edges {
+		if used += e.nodes; used > m.Nodes {
+			t.Fatalf("%d nodes in use at %v on a %d-node machine", used, e.at, m.Nodes)
+		}
+	}
+
+	ch, err := a.Submit(context.Background(), Job{
+		Name: "whole", Graph: gatedGraph("whole"), Body: sleepBody(time.Millisecond),
+		MinNodes: m.Nodes, MaxNodes: m.Nodes, Rigid: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-ch:
+		if r.Err != nil || r.InitialNodes != m.Nodes {
+			t.Fatalf("whole-machine job after the panic: %d nodes, err %v; want %d nodes, no error",
+				r.InitialNodes, r.Err, m.Nodes)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("whole-machine job never admitted: the panicking job leaked nodes")
+	}
+	a.mu.Lock()
+	free := a.freeNodes
+	a.mu.Unlock()
+	if free != m.Nodes {
+		t.Fatalf("%d free nodes after every job finished, want %d", free, m.Nodes)
 	}
 }

@@ -126,9 +126,6 @@ func NewShardedCache(capacity, shards int) *ShardedCache {
 // must evict: the per-shard capacity times the shard count.
 func (c *ShardedCache) Capacity() int { return len(c.shards) * c.per }
 
-// Shards returns the shard count.
-func (c *ShardedCache) Shards() int { return len(c.shards) }
-
 func (c *ShardedCache) shardFor(k Key) *lru.Cache[Key, *core.Mapping] {
 	return c.shards[k.hash()&c.mask]
 }

@@ -302,8 +302,8 @@ func TestSingleflightPanickedLeaderReElection(t *testing.T) {
 // shards instead of piling onto one mutex.
 func TestShardDistribution(t *testing.T) {
 	c := NewShardedCache(1024, 16)
-	if c.Shards() != 16 {
-		t.Fatalf("Shards() = %d, want 16", c.Shards())
+	if len(c.shards) != 16 {
+		t.Fatalf("%d shards, want 16", len(c.shards))
 	}
 	const n = 512
 	for i := 0; i < n; i++ {

@@ -624,15 +624,8 @@ type DynTask = dynsched.Task
 // group recursively.
 type DynCtx = dynsched.Ctx
 
-// DynPool schedules M-tasks with core requirements dynamically onto free
-// cores.
-type DynPool = dynsched.Pool
-
 // RunDynamic executes a dynamic root task on all cores of the world.
 func RunDynamic(w *World, root DynTask) error { return dynsched.Run(w, root) }
-
-// NewDynPool returns a dynamic pool over p cores.
-func NewDynPool(p int) (*DynPool, error) { return dynsched.NewPool(p) }
 
 // --- multi-job machine scheduling ---
 
@@ -657,9 +650,8 @@ type JobResult = dynsched.JobResult
 type JobResizeEvent = dynsched.ResizeEvent
 
 // NewJobAllocator returns a two-level scheduler over the machine backed
-// by the planner (backfill enabled). Configure the exported fields
-// (Backfill, MaxBypass, EfficiencyFloor, Trace, ...) before the first
-// Submit or RunTrace.
+// by the planner. Configure the exported fields (MaxBypass,
+// EfficiencyFloor, Trace, ...) before the first Submit or RunTrace.
 func NewJobAllocator(m *Machine, p *Planner) (*JobAllocator, error) {
 	return dynsched.NewAllocator(m, p)
 }
